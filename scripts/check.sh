@@ -5,10 +5,12 @@
 # Usage: scripts/check.sh [build-dir]
 #
 # SPEAR_CHECK_MATRIX=1 widens the sanitizer pass into the full matrix:
-# plain + ASan + TSan + UBSan in sequence (the TSan pass covers the
+# plain + ASan + TSan + UBSan + Release in sequence (the TSan pass covers the
 # executor's supervision/recovery/overload machinery, where races would
 # otherwise only lose intermittently; the UBSan pass covers the lock-free
-# shed arithmetic), plus the 20x stress rerun of the timing-sensitive
+# shed arithmetic; the Release pass builds at -O3, whose optimizer raises
+# diagnostics the default RelWithDebInfo build does not, still under
+# -Werror), plus the 20x stress rerun of the timing-sensitive
 # chaos tests (scripts/check_stress.sh) whose failures are intermittent
 # by nature.
 #
@@ -37,6 +39,10 @@ ctest --test-dir "$ROOT/$BUILD_DIR" -j"$(nproc)" --output-on-failure
 if [ "${SPEAR_CHECK_MATRIX:-0}" = "1" ]; then
   "$ROOT/scripts/check_tsan.sh" "$BUILD_DIR-tsan"
   "$ROOT/scripts/check_ubsan.sh" "$BUILD_DIR-ubsan"
+  cmake -S "$ROOT" -B "$ROOT/$BUILD_DIR-release" -G Ninja \
+    -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$ROOT/$BUILD_DIR-release"
+  ctest --test-dir "$ROOT/$BUILD_DIR-release" -j"$(nproc)" --output-on-failure
   # 20x rerun of the timing-sensitive chaos tests; reuses the TSan build
   # the matrix just produced for its sanitized sweep.
   "$ROOT/scripts/check_stress.sh" "$BUILD_DIR"

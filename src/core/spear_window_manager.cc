@@ -16,7 +16,9 @@ namespace {
 /// Version byte of the manager's checkpoint payload.
 /// v2: per-window shed/truncated flags, reservoir skipped counts, tracker
 /// shed counts, shed/deadline decision counters (overload control).
-constexpr std::uint8_t kManagerPayloadVersion = 2;
+/// v3: no raw-tuple custody state (spill manifest, run sequence, spill
+/// failure count); the payload is budget state and bookkeeping only.
+constexpr std::uint8_t kManagerPayloadVersion = 3;
 
 void AppendRunningStats(std::string* out, const RunningStats& stats) {
   const RunningStats::State s = stats.state();
@@ -101,8 +103,6 @@ SpearWindowManager::SpearWindowManager(SpearOperatorConfig config,
       mode_(DeriveMode(config_, static_cast<bool>(key_extractor))),
       value_extractor_(std::move(value_extractor)),
       key_extractor_(std::move(key_extractor)),
-      storage_(storage),
-      spill_key_(std::move(spill_key)),
       budget_elements_(config_.budget.ElementsFor(sizeof(double))),
       // Per the paper, b holds floor(b / (r + 4 + f)) groups' metadata;
       // for tuple-denominated budgets the capacity is one group per slot.
@@ -110,10 +110,11 @@ SpearWindowManager::SpearWindowManager(SpearOperatorConfig config,
                       ? config_.budget.ElementsFor(8 + 4 + sizeof(double))
                       : budget_elements_),
       exact_operator_(config_.aggregate, value_extractor_, key_extractor_),
+      custody_(config_.buffer_memory_capacity, storage, std::move(spill_key),
+               config_.storage_retry, config_.seed),
       last_watermark_(kMinTimestamp) {
   SPEAR_CHECK(config_.Validate().ok());
   SPEAR_CHECK(budget_elements_ > 0);
-  SPEAR_CHECK(config_.buffer_memory_capacity == 0 || storage_ != nullptr);
   if (config_.adaptive_budget) {
     BudgetController::Options options = config_.adaptive_options;
     options.initial_budget = budget_elements_;
@@ -324,74 +325,27 @@ void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
   }
 
   // Raw tuple custody: memory within the worker budget, S beyond it.
-  if (config_.buffer_memory_capacity != 0 &&
-      buffer_.size() >= config_.buffer_memory_capacity) {
-    Tuple payload = std::move(tuple);
-    payload.AppendField(Value(payload.event_time()));
-    payload.set_event_time(coord);
-    const Status stored = StoreWithRetry(
-        spill_key_ + "/" + std::to_string(spill_seq_), payload);
-    if (stored.ok()) {
-      spilled_coords_.push_back(coord);
-      if (obs_spill_tuples_ != nullptr) obs_spill_tuples_->Increment();
+  TupleCustody::Retries retries;
+  switch (custody_.Append(coord, std::move(tuple), &retries)) {
+    case TupleCustody::Placement::kMemory:
       return;
-    }
-    // S stayed unavailable after retries: keep the tuple in memory past
-    // the budget rather than lose it — degraded custody, not data loss.
-    ++spill_failures_;
-    if (metrics_ != nullptr) metrics_->AddSpillFailures(1);
-    if (obs_spill_failures_ != nullptr) obs_spill_failures_->Increment();
-    payload.set_event_time(payload.PopField().AsInt64());
-    buffer_.push_back(Entry{coord, std::move(payload)});
-    return;
+    case TupleCustody::Placement::kSpilled:
+      if (obs_spill_tuples_ != nullptr) obs_spill_tuples_->Increment();
+      break;
+    case TupleCustody::Placement::kSpillFailed:
+      // S stayed unavailable after retries: custody kept the tuple in
+      // memory past the budget — degraded custody, not data loss.
+      if (metrics_ != nullptr) metrics_->AddSpillFailures(1);
+      if (obs_spill_failures_ != nullptr) obs_spill_failures_->Increment();
+      break;
   }
-  buffer_.push_back(Entry{coord, std::move(tuple)});
+  ReportRetries(retries);
 }
 
-Status SpearWindowManager::StoreWithRetry(const std::string& key,
-                                          const Tuple& payload) {
-  std::uint64_t retries = 0;
-  std::uint64_t recovered = 0;
-  const Status stored = RetryTransient(
-      config_.storage_retry, config_.seed ^ (spill_seq_ + 0x5702EULL),
-      [&] { return storage_->Store(key, payload); }, &retries, &recovered);
-  if (metrics_ != nullptr) {
-    metrics_->AddRetries(retries);
-    metrics_->AddRecovered(recovered);
-  }
-  return stored;
-}
-
-Status SpearWindowManager::UnspillAll() {
-  if (spilled_coords_.empty()) return Status::OK();
-  const std::string key = spill_key_ + "/" + std::to_string(spill_seq_);
-  Result<std::vector<Tuple>> fetched = storage_->Get(key);
-  {
-    // Retry transient Get failures under the same policy as spills
-    // (RetryTransient only fits Status-returning ops).
-    Backoff backoff(config_.storage_retry,
-                    config_.seed ^ (spill_seq_ + 0xD0D0ULL));
-    std::int64_t delay_ns = 0;
-    while (!fetched.ok() &&
-           ClassifyFailure(fetched.status()) == FailureClass::kTransient &&
-           backoff.NextDelay(&delay_ns)) {
-      BackoffSleep(delay_ns);
-      if (metrics_ != nullptr) metrics_->AddRetries(1);
-      fetched = storage_->Get(key);
-      if (fetched.ok() && metrics_ != nullptr) metrics_->AddRecovered(1);
-    }
-  }
-  if (!fetched.ok()) return fetched.status();
-  std::vector<Tuple> run = std::move(fetched).ValueOrDie();
-  for (auto& t : run) {
-    const std::int64_t coord = t.event_time();
-    t.set_event_time(t.PopField().AsInt64());
-    buffer_.push_back(Entry{coord, std::move(t)});
-  }
-  storage_->Erase(spill_key_ + "/" + std::to_string(spill_seq_));
-  ++spill_seq_;
-  spilled_coords_.clear();
-  return Status::OK();
+void SpearWindowManager::ReportRetries(const TupleCustody::Retries& retries) {
+  if (metrics_ == nullptr) return;
+  metrics_->AddRetries(retries.retries);
+  metrics_->AddRecovered(retries.recovered);
 }
 
 Result<ScalarEstimate> SpearWindowManager::EstimateScalarForState(
@@ -435,7 +389,7 @@ Status SpearWindowManager::PopulateGroupedResultFromScan(
     samples.emplace(a.key, GroupSample{a.sample_size, nullptr});
   }
 
-  for (const Entry& e : buffer_) {
+  for (const TupleCustody::Entry& e : custody_.memory()) {
     if (!bounds.Contains(e.coord)) continue;
     const auto it = samples.find(key_extractor_(e.tuple));
     if (it == samples.end()) continue;  // cannot happen: tracker saw all
@@ -521,7 +475,7 @@ Result<CompleteWindow> SpearWindowManager::MaterializeWindow(
   // check stays off the per-tuple critical path.
   constexpr std::size_t kDeadlineCheckStride = 256;
   std::size_t since_check = 0;
-  for (const Entry& e : buffer_) {
+  for (const TupleCustody::Entry& e : custody_.memory()) {
     if (!bounds.Contains(e.coord)) continue;
     if (deadline_ns != 0 && ++since_check == kDeadlineCheckStride) {
       since_check = 0;
@@ -776,6 +730,14 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
     return out;
   }
 
+  // Fetches the spilled run back into custody's memory (paying S latency).
+  const auto unspill = [&] {
+    TupleCustody::Retries retries;
+    const Status fetched = custody_.Unspill(&retries);
+    ReportRetries(retries);
+    return fetched;
+  };
+
   // Only windows with budget state can produce results; complete windows
   // without state are empty and can never gain tuples, so iterating the
   // (ordered) state map visits exactly the windows to emit.
@@ -794,8 +756,8 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
       std::int64_t window_ns = 0;
       WindowResult result;
       const bool recovered_window = state_it->second.recovered;
-      // UnspillAll() clears spilled_coords_, so capture participation now.
-      const bool had_spill = !spilled_coords_.empty();
+      // Unspilling empties the run, so capture participation now.
+      const bool had_spill = custody_.HasSpilled();
       {
         ScopedTimerNs timer(&window_ns);
         // The grouped accept path scans the buffer; make sure spilled
@@ -804,8 +766,8 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
         // tracker-only degraded path.
         bool unspill_failed = false;
         if (mode_ == SpearMode::kGroupedUnknown && !recovered_window &&
-            !spilled_coords_.empty()) {
-          const Status fetched = UnspillAll();
+            custody_.HasSpilled()) {
+          const Status fetched = unspill();
           if (!fetched.ok()) {
             if (!fetched.IsUnavailable()) return fetched;
             unspill_failed = true;
@@ -864,7 +826,7 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
                     : 0;
             const Status fetched =
                 unspill_failed ? Status::Unavailable("spill run unavailable")
-                               : UnspillAll();
+                               : unspill();
             if (fetched.ok()) {
               if (deadline_ns != 0 && NowNs() > deadline_ns) {
                 // The unspill alone blew the budget.
@@ -1005,28 +967,12 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
 }
 
 void SpearWindowManager::EvictExpired() {
-  buffer_.erase(std::remove_if(buffer_.begin(), buffer_.end(),
-                               [&](const Entry& e) {
-                                 return e.coord < next_window_start_;
-                               }),
-                buffer_.end());
+  custody_.EvictBefore(next_window_start_);
   // Drop window states that can no longer complete (safety: normally the
   // processing loop erased them).
   while (!window_states_.empty() &&
          window_states_.begin()->first < next_window_start_) {
     window_states_.erase(window_states_.begin());
-  }
-  // Spilled run: discard wholesale once every coordinate expired; SPEAr
-  // never fetches data from S just to throw it away.
-  if (!spilled_coords_.empty()) {
-    const bool all_expired =
-        std::all_of(spilled_coords_.begin(), spilled_coords_.end(),
-                    [&](std::int64_t c) { return c < next_window_start_; });
-    if (all_expired) {
-      storage_->Erase(spill_key_ + "/" + std::to_string(spill_seq_));
-      ++spill_seq_;
-      spilled_coords_.clear();
-    }
   }
 }
 
@@ -1038,15 +984,7 @@ Result<std::string> SpearWindowManager::SnapshotState() const {
   wire::AppendI64(&out, next_window_start_);
   wire::AppendU8(&out, saw_any_tuple_ ? 1 : 0);
   wire::AppendU64(&out, sampler_seq_);
-  wire::AppendU64(&out, spill_seq_);
-  wire::AppendU64(&out, spill_failures_);
   wire::AppendU64(&out, pending_lost_);
-
-  // Spill manifest: which coordinates live in S under the current run key.
-  // Serialized for accounting only — restore discards the adopted run and
-  // lets replay rebuild a fresh one, keeping S duplicate-free.
-  wire::AppendU64(&out, spilled_coords_.size());
-  for (const std::int64_t c : spilled_coords_) wire::AppendI64(&out, c);
 
   wire::AppendU64(&out, decision_stats_.windows_total);
   wire::AppendU64(&out, decision_stats_.windows_expedited);
@@ -1107,10 +1045,11 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
         "differently configured operator)");
   }
 
-  // From here on the manager is rebuilt wholesale; the raw buffer was not
-  // serialized and starts empty (the executor replays what it logged).
-  buffer_.clear();
-  spilled_coords_.clear();
+  // From here on the manager is rebuilt wholesale. Custody was not
+  // serialized and starts empty, its spill run included: the executor
+  // replays what it logged, and the replayed tuples that spill again must
+  // not join tuples a crashed predecessor left in the run.
+  custody_.Clear();
   window_states_.clear();
 
   SPEAR_ASSIGN_OR_RETURN(last_watermark_, reader.ReadI64());
@@ -1118,26 +1057,7 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
   SPEAR_ASSIGN_OR_RETURN(const std::uint8_t saw, reader.ReadU8());
   saw_any_tuple_ = saw != 0;
   SPEAR_ASSIGN_OR_RETURN(sampler_seq_, reader.ReadU64());
-  SPEAR_ASSIGN_OR_RETURN(spill_seq_, reader.ReadU64());
-  SPEAR_ASSIGN_OR_RETURN(spill_failures_, reader.ReadU64());
   SPEAR_ASSIGN_OR_RETURN(pending_lost_, reader.ReadU64());
-
-  SPEAR_ASSIGN_OR_RETURN(const std::uint64_t manifest_size, reader.ReadU64());
-  spilled_coords_.reserve(manifest_size);
-  for (std::uint64_t k = 0; k < manifest_size; ++k) {
-    SPEAR_ASSIGN_OR_RETURN(const std::int64_t c, reader.ReadI64());
-    spilled_coords_.push_back(c);
-  }
-  // The replay that follows re-feeds the tuples that filled the adopted
-  // run, and they will spill again. Appending them to the old run would
-  // double every spilled tuple, so discard it and start a fresh run —
-  // nothing is lost: every restored window is recovered, and recovered
-  // windows answer from budget state, never from the raw spill run.
-  if (storage_ != nullptr && !spilled_coords_.empty()) {
-    storage_->Erase(spill_key_ + "/" + std::to_string(spill_seq_));
-    ++spill_seq_;
-    spilled_coords_.clear();
-  }
 
   SPEAR_ASSIGN_OR_RETURN(decision_stats_.windows_total, reader.ReadU64());
   SPEAR_ASSIGN_OR_RETURN(decision_stats_.windows_expedited, reader.ReadU64());
@@ -1240,27 +1160,6 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
   if (!reader.exhausted()) {
     return Status::Invalid("spear snapshot: trailing bytes");
   }
-
-  // Re-adopt the spill manifest: the storage run may have grown past it
-  // (spills between the snapshot and the crash), and post-restore replays
-  // would re-spill those same tuples. Truncate the run back to the
-  // manifest (S preserves insertion order) so replayed spills append to a
-  // consistent prefix. If S is unavailable, drop the manifest instead —
-  // recovered windows never materialize raw tuples, so this only costs
-  // custody of already-lost data.
-  if (!spilled_coords_.empty()) {
-    bool adopted = false;
-    if (storage_ != nullptr) {
-      const std::string key = spill_key_ + "/" + std::to_string(spill_seq_);
-      Result<std::vector<Tuple>> run = storage_->Get(key);
-      if (run.ok() && run->size() >= spilled_coords_.size()) {
-        run->resize(spilled_coords_.size());
-        storage_->Erase(key);
-        if (storage_->StoreBatch(key, std::move(*run)).ok()) adopted = true;
-      }
-    }
-    if (!adopted) spilled_coords_.clear();
-  }
   return Status::OK();
 }
 
@@ -1274,12 +1173,6 @@ std::size_t SpearWindowManager::BudgetMemoryBytes() const {
       total += key.size() + sampler.sample().size() * sizeof(double);
     }
   }
-  return total;
-}
-
-std::size_t SpearWindowManager::BufferMemoryBytes() const {
-  std::size_t total = 0;
-  for (const Entry& e : buffer_) total += e.tuple.ByteSize();
   return total;
 }
 

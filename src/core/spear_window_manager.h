@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -18,6 +17,7 @@
 #include "stats/reservoir_sampler.h"
 #include "storage/secondary_storage.h"
 #include "tuple/field_extractor.h"
+#include "window/tuple_custody.h"
 
 /// \file spear_window_manager.h
 /// SPEAr's extension of the single-buffer window manager — the paper's
@@ -70,7 +70,7 @@ class SpearWindowManager {
   /// \param key_extractor  group key; null => scalar operation
   /// \param storage        spill target; required when
   ///                       config.buffer_memory_capacity > 0
-  /// \param spill_key      S key prefix for this worker
+  /// \param spill_key      S key of this worker's spill run
   SpearWindowManager(SpearOperatorConfig config,
                      ValueExtractor value_extractor,
                      KeyExtractor key_extractor = nullptr,
@@ -108,10 +108,10 @@ class SpearWindowManager {
 
   /// Serializes the manager's O(b) state for checkpointing: budget state
   /// of every active window (running moments, reservoir contents, group
-  /// trackers), watermark/window bookkeeping, the spill manifest, and the
-  /// decision statistics. The raw in-memory tuple buffer is deliberately
-  /// NOT serialized — that is the whole point of approximate fault
-  /// tolerance (AF-Stream): the snapshot stays O(b), and what the buffer
+  /// trackers), watermark/window bookkeeping, and the decision
+  /// statistics. Raw-tuple custody (memory buffer and spill run alike) is
+  /// deliberately NOT serialized — that is the whole point of approximate
+  /// fault tolerance (AF-Stream): the snapshot stays O(b), and what custody
   /// held is either replayed by the executor or accounted as loss.
   Result<std::string> SnapshotState() const;
 
@@ -120,10 +120,9 @@ class SpearWindowManager {
   /// window is flagged `recovered`: its raw buffer is incomplete, so the
   /// exact fallback and the grouped stratified scan are off the table —
   /// those windows answer from the budget state (possibly degraded).
-  /// Re-adopts the snapshot's spill manifest, truncating the storage run
-  /// back to the manifest so post-restore replays cannot duplicate
-  /// spilled tuples; an unavailable S drops the manifest instead (the
-  /// recovered windows never materialize raw tuples anyway).
+  /// Empties custody and erases this worker's spill run, whatever a
+  /// crashed predecessor left in it: the executor's replay re-spills what
+  /// it re-feeds, so no spilled tuple is counted twice.
   Status RestoreState(const std::string& payload);
 
   /// Accounts `lost_tuples` consumed-but-unreplayable tuples (they fell
@@ -158,7 +157,7 @@ class SpearWindowManager {
 
   /// Spill attempts that stayed transiently failed after retries; the
   /// affected tuples were kept in memory past the budget instead.
-  std::uint64_t spill_failures() const { return spill_failures_; }
+  std::uint64_t spill_failures() const { return custody_.spill_failures(); }
 
   /// Test hook: wipes the budget state (samplers/trackers) of every
   /// active window, simulating corruption. Subsequent decisions detect it
@@ -166,16 +165,14 @@ class SpearWindowManager {
   void CorruptBudgetForTesting();
 
   /// Tuples currently buffered (memory + spill).
-  std::size_t BufferedTuples() const {
-    return buffer_.size() + spilled_coords_.size();
-  }
+  std::size_t BufferedTuples() const { return custody_.size(); }
 
   /// Bytes of budget state (samples + statistics) across active windows —
   /// the "memory used for producing the result" of Fig. 7.
   std::size_t BudgetMemoryBytes() const;
 
   /// Bytes of raw buffered tuples resident in memory.
-  std::size_t BufferMemoryBytes() const;
+  std::size_t BufferMemoryBytes() const { return custody_.MemoryBytes(); }
 
   /// The per-window sample capacity derived from the budget (the value
   /// new windows open with right now, when adaptive).
@@ -187,11 +184,6 @@ class SpearWindowManager {
   }
 
  private:
-  struct Entry {
-    std::int64_t coord;
-    Tuple tuple;
-  };
-
   /// Budget state of one active window.
   struct WindowState {
     /// Sample budget this window was opened with (fixed-budget managers
@@ -271,28 +263,23 @@ class SpearWindowManager {
   Result<WindowResult> MakeDegradedResult(const WindowBounds& bounds,
                                           WindowState* state);
 
-  /// storage_->Store under config_.storage_retry, reporting retry counts
-  /// to the worker metrics.
-  Status StoreWithRetry(const std::string& key, const Tuple& payload);
+  /// Forwards the storage retries of one custody call to the worker
+  /// metrics.
+  void ReportRetries(const TupleCustody::Retries& retries);
 
-  Status UnspillAll();
   void EvictExpired();
 
   const SpearOperatorConfig config_;
   const SpearMode mode_;
   const ValueExtractor value_extractor_;
   const KeyExtractor key_extractor_;
-  SecondaryStorage* storage_;
-  const std::string spill_key_;
 
   const std::size_t budget_elements_;
   const std::size_t max_groups_;
   const ExactWindowOperator exact_operator_;
   std::optional<BudgetController> budget_controller_;
 
-  std::deque<Entry> buffer_;
-  std::vector<std::int64_t> spilled_coords_;
-  std::uint64_t spill_seq_ = 0;
+  TupleCustody custody_;
 
   std::map<std::int64_t, WindowState> window_states_;
   std::int64_t next_window_start_ = 0;
@@ -304,7 +291,6 @@ class SpearWindowManager {
   std::uint64_t pending_lost_ = 0;
 
   WorkerMetrics* metrics_ = nullptr;
-  std::uint64_t spill_failures_ = 0;
   bool ignore_loss_accounting_ = false;
 
   // Observability (all null when the topology runs unobserved).

@@ -69,7 +69,10 @@ std::vector<Tuple> DebsGenerator::Generate(const Config& config) {
         config.active_routes / 2);
     const std::int64_t route_id =
         pool_shift + static_cast<std::int64_t>(route_index);
-    std::string route = "r" + std::to_string(route_id);
+    // Appended, not `"r" + std::to_string(...)`: GCC 12 -O3 raises a
+    // false -Wrestrict on prepending to a temporary string.
+    std::string route = "r";
+    route += std::to_string(route_id);
 
     // Fares are route-determined (a route fixes the trip distance), with
     // small per-ride variation (traffic, tip): the between-route spread is

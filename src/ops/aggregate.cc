@@ -31,7 +31,11 @@ const char* AggregateKindName(AggregateKind kind) {
 std::string AggregateSpec::ToString() const {
   std::string out = AggregateKindName(kind);
   if (kind == AggregateKind::kPercentile) {
-    out += "(" + std::to_string(phi) + ")";
+    // Appended piecewise: GCC 12 -O3 raises a false -Wrestrict on
+    // `"(" + std::to_string(...)`.
+    out += '(';
+    out += std::to_string(phi);
+    out += ')';
   }
   return out;
 }

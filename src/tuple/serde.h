@@ -8,8 +8,9 @@
 #include "tuple/tuple.h"
 
 /// \file serde.h
-/// Binary tuple (de)serialization used by the file-backed secondary
-/// storage. Format (little-endian):
+/// Binary tuple (de)serialization: a canonical byte form of tuples and
+/// batches, e.g. for comparing two runs' outputs byte for byte. Format
+/// (little-endian):
 ///
 ///   tuple  := event_time:i64 field_count:u32 field*
 ///   field  := type:u8 payload

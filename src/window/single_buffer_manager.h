@@ -1,9 +1,9 @@
 #pragma once
 
-#include <deque>
 #include <string>
 
 #include "storage/secondary_storage.h"
+#include "window/tuple_custody.h"
 #include "window/window_manager.h"
 
 /// \file single_buffer_manager.h
@@ -22,7 +22,7 @@ class SingleBufferWindowManager : public WindowManager {
   /// \param memory_capacity max tuples resident in memory before spilling
   ///                        (0 = unlimited, no storage needed)
   /// \param storage         spill target (may be null when capacity is 0)
-  /// \param spill_key       S key prefix for this worker's runs
+  /// \param spill_key       S key of this worker's spill run
   SingleBufferWindowManager(WindowSpec spec, std::size_t memory_capacity = 0,
                             SecondaryStorage* storage = nullptr,
                             std::string spill_key = "single-buffer");
@@ -32,11 +32,9 @@ class SingleBufferWindowManager : public WindowManager {
   Result<std::vector<CompleteWindow>> OnWatermark(
       std::int64_t watermark) override;
 
-  std::size_t BufferedTuples() const override {
-    return buffer_.size() + spilled_;
-  }
+  std::size_t BufferedTuples() const override { return custody_.size(); }
 
-  std::size_t MemoryBytes() const override;
+  std::size_t MemoryBytes() const override { return custody_.MemoryBytes(); }
 
   std::uint64_t late_tuples() const override { return late_tuples_; }
 
@@ -44,32 +42,16 @@ class SingleBufferWindowManager : public WindowManager {
   std::uint64_t evicted_tuples() const { return evicted_tuples_; }
 
   /// Whether any tuple of the current buffer lives in S.
-  bool HasSpilled() const { return spilled_ > 0; }
+  bool HasSpilled() const { return custody_.HasSpilled(); }
 
   /// Spill attempts kept in memory because storage was unavailable.
-  std::uint64_t spill_failures() const { return spill_failures_; }
+  std::uint64_t spill_failures() const { return custody_.spill_failures(); }
 
   const WindowSpec& spec() const { return spec_; }
 
  private:
-  struct Entry {
-    std::int64_t coord;
-    Tuple tuple;
-  };
-
-  /// Fetches the spilled run back into memory (paying S latency) so a
-  /// watermark can process it; called at watermark arrival only.
-  Status UnspillForProcessing();
-
   const WindowSpec spec_;
-  const std::size_t memory_capacity_;
-  SecondaryStorage* storage_;
-  const std::string spill_key_;
-
-  std::deque<Entry> buffer_;
-  std::size_t spilled_ = 0;
-  std::uint64_t spill_seq_ = 0;
-  std::uint64_t spill_failures_ = 0;
+  TupleCustody custody_;
 
   /// End of the last window already emitted; windows are emitted in
   /// ascending order and never twice.

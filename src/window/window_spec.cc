@@ -12,7 +12,14 @@ std::string WindowSpec::ToString() const {
 }
 
 std::string WindowBounds::ToString() const {
-  return "[" + std::to_string(start) + ", " + std::to_string(end) + ")";
+  // Appends rather than `"[" + std::to_string(...)`: GCC 12 -O3 raises a
+  // false -Wrestrict on prepending to a temporary string.
+  std::string out = "[";
+  out += std::to_string(start);
+  out += ", ";
+  out += std::to_string(end);
+  out += ")";
+  return out;
 }
 
 }  // namespace spear

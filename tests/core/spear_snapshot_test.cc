@@ -228,8 +228,8 @@ TEST(SpearSnapshotTest, RestoreReadoptsSpillManifestWithoutDuplication) {
   SpearWindowManager restored(config, NumericField(0), nullptr, &storage,
                               "snap-test");
   ASSERT_TRUE(restored.RestoreState(*payload).ok());
-  // Replay the same tuples: the ones that spill again must overwrite the
-  // adopted manifest run, not append to it.
+  // Replay the same tuples: restore erased the worker's spill run, so the
+  // ones that spill again rebuild it instead of appending to it.
   for (int i = 0; i < 64; ++i) restored.OnTuple(i, NumTuple(i, i));
   EXPECT_EQ(storage.TotalTuples(), spilled_before);
 
@@ -240,6 +240,63 @@ TEST(SpearSnapshotTest, RestoreReadoptsSpillManifestWithoutDuplication) {
   // it is emitted as a flagged approximation.
   EXPECT_TRUE((*results)[0].recovered);
   EXPECT_TRUE((*results)[0].approximate);
+}
+
+// A worker crashes after a window closed (unspilling the run) past the
+// last snapshot, with fresh spills in S. The restored worker must not
+// adopt what its predecessor left in the run: the replayed window, which
+// opened after the snapshot and so is processed exactly, must match a
+// clean run tuple for tuple.
+TEST(SpearSnapshotTest, RestoreAfterUnspillDoesNotDoubleCountSpills) {
+  SpearOperatorConfig config = MeanConfig();
+  config.aggregate = AggregateSpec::Median();
+  config.accuracy = AccuracySpec{0.0001, 0.95};  // every window exact
+  config.buffer_memory_capacity = 16;
+  const auto feed = [](SpearWindowManager* mgr, int from, int to) {
+    for (int i = from; i < to; ++i) {
+      mgr->OnTuple(i, NumTuple(i, static_cast<double>(i % 100)));
+    }
+  };
+
+  SecondaryStorage clean_storage;
+  SpearWindowManager clean(config, NumericField(0), nullptr, &clean_storage,
+                           "w");
+  feed(&clean, 0, 200);
+  ASSERT_TRUE(clean.OnWatermark(200).ok());
+  feed(&clean, 200, 300);
+  auto want = clean.OnWatermark(300);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(want->size(), 1u);
+
+  SecondaryStorage storage;
+  SpearWindowManager crashed(config, NumericField(0), nullptr, &storage, "w");
+  feed(&crashed, 0, 100);
+  ASSERT_TRUE(crashed.OnWatermark(100).ok());
+  Result<std::string> payload = crashed.SnapshotState();
+  ASSERT_TRUE(payload.ok());
+  feed(&crashed, 100, 200);
+  ASSERT_TRUE(crashed.OnWatermark(200).ok());  // unspills the run
+  feed(&crashed, 200, 250);                    // spills again, then crash
+  ASSERT_GT(storage.TotalTuples(), 0u);
+
+  SpearWindowManager restored(config, NumericField(0), nullptr, &storage,
+                              "w");
+  ASSERT_TRUE(restored.RestoreState(*payload).ok());
+  feed(&restored, 100, 200);  // the executor replays from the snapshot
+  ASSERT_TRUE(restored.OnWatermark(200).ok());
+  feed(&restored, 200, 300);
+  auto got = restored.OnWatermark(300);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), 1u);
+
+  const WindowResult& w = (*got)[0];
+  const WindowResult& c = (*want)[0];
+  EXPECT_EQ(w.bounds, c.bounds);
+  EXPECT_FALSE(w.approximate);
+  EXPECT_FALSE(w.recovered);
+  EXPECT_EQ(w.window_size, 100u);
+  EXPECT_EQ(w.tuples_processed, c.tuples_processed);
+  EXPECT_DOUBLE_EQ(w.scalar, c.scalar);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 
 #include "common/fault.h"
 #include "storage/secondary_storage.h"
-#include "storage/spilling_buffer.h"
+#include "window/tuple_custody.h"
 
 namespace spear {
 namespace {
@@ -30,10 +30,10 @@ TEST(SpillCancelRaceTest, PermanentSpillFailureKeepsEverythingInMemory) {
 
   SecondaryStorage storage;
   storage.InjectFaults(&injector);
-  SpillingBuffer buffer(/*memory_capacity=*/8, &storage, "down-key");
+  TupleCustody buffer(/*memory_capacity=*/8, &storage, "down-key");
 
   const int n = 100;
-  for (int i = 0; i < n; ++i) buffer.Append(NumTuple(i, i));
+  for (int i = 0; i < n; ++i) buffer.Append(i, NumTuple(i, i));
 
   EXPECT_EQ(buffer.size(), static_cast<std::size_t>(n));
   EXPECT_EQ(buffer.memory_size(), static_cast<std::size_t>(n));
@@ -60,7 +60,7 @@ TEST(SpillCancelRaceTest, IntermittentFailureUnderConcurrentCancel) {
   // against (the busy-wait checks the flag continuously).
   SecondaryStorage storage(StorageLatencyModel{2'000, 50});
   storage.InjectFaults(&injector);
-  SpillingBuffer buffer(/*memory_capacity=*/16, &storage, "race-key");
+  TupleCustody buffer(/*memory_capacity=*/16, &storage, "race-key");
 
   std::atomic<bool> done{false};
   std::thread canceller([&storage, &done]() {
@@ -75,7 +75,7 @@ TEST(SpillCancelRaceTest, IntermittentFailureUnderConcurrentCancel) {
   const int n = 3000;
   double expected_sum = 0.0;
   for (int i = 0; i < n; ++i) {
-    buffer.Append(NumTuple(i, i));
+    buffer.Append(i, NumTuple(i, i));
     expected_sum += i;
   }
   done.store(true);
@@ -89,14 +89,16 @@ TEST(SpillCancelRaceTest, IntermittentFailureUnderConcurrentCancel) {
   EXPECT_GT(buffer.spill_failures(), 0u);
   EXPECT_EQ(storage.CountFor("race-key"), buffer.spilled_size());
 
-  // Materializing returns each appended tuple exactly once (a duplicate
-  // or a loss shifts the checksum).
+  // Unspilling returns each appended tuple exactly once (a duplicate or a
+  // loss shifts the checksum).
   storage.ResetSimulatedLatency();
-  auto all = buffer.Materialize();
-  ASSERT_TRUE(all.ok()) << all.status().ToString();
-  ASSERT_EQ(all->size(), static_cast<std::size_t>(n));
+  const Status unspilled = buffer.Unspill();
+  ASSERT_TRUE(unspilled.ok()) << unspilled.ToString();
+  ASSERT_EQ(buffer.memory().size(), static_cast<std::size_t>(n));
   double sum = 0.0;
-  for (const Tuple& t : *all) sum += t.field(0).AsDouble();
+  for (const TupleCustody::Entry& e : buffer.memory()) {
+    sum += e.tuple.field(0).AsDouble();
+  }
   EXPECT_DOUBLE_EQ(sum, expected_sum);
 
   // No leak: clearing the buffer erases its storage run too.

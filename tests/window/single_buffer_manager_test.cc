@@ -151,6 +151,24 @@ TEST(SingleBufferTest, SpilledTuplesSurviveRoundTripIntact) {
   double sum = 0.0;
   for (const Tuple& t : (*windows)[0].tuples) sum += t.field(0).AsDouble();
   EXPECT_DOUBLE_EQ(sum, 1.5 * (0 + 1 + 2 + 3 + 4 + 5));
+
+  // Count windows: the coordinate is a sequence number, not the event
+  // time, and a spilled tuple must come back with its own event time.
+  SecondaryStorage count_storage;
+  SingleBufferWindowManager counted(WindowSpec::TumblingCount(10), 4,
+                                    &count_storage, "c");
+  for (int i = 0; i < 10; ++i) counted.OnTuple(i, T(1000 + i, i));
+  EXPECT_TRUE(counted.HasSpilled());
+  auto count_windows = counted.OnWatermark(10);
+  ASSERT_TRUE(count_windows.ok());
+  ASSERT_EQ(count_windows->size(), 1u);
+  const std::vector<Tuple>& tuples = (*count_windows)[0].tuples;
+  ASSERT_EQ(tuples.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(tuples[i].event_time(), 1000 + i);
+    ASSERT_EQ(tuples[i].num_fields(), 1u);
+    EXPECT_DOUBLE_EQ(tuples[i].field(0).AsDouble(), i);
+  }
 }
 
 TEST(SingleBufferTest, MemoryBytesTracksBuffer) {
