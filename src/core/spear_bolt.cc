@@ -34,7 +34,9 @@ void SpearBolt::NoteRecoveryLoss(std::uint64_t lost_tuples) {
 
 Status SpearBolt::Finish(Emitter* out) {
   (void)out;
-  if (decision_sink_ != nullptr && manager_ != nullptr) {
+  if (manager_ == nullptr) return Status::OK();
+  manager_->PublishMetrics();
+  if (decision_sink_ != nullptr) {
     decision_sink_->Add(manager_->decision_stats());
   }
   return Status::OK();
@@ -52,9 +54,8 @@ Status SpearBolt::Prepare(const BoltContext& ctx) {
       config_, value_extractor_, key_extractor_, storage_,
       "spear-bolt-" + std::to_string(ctx.task_id));
   manager_->SetMetrics(ctx.metrics);
-  manager_->SetObservability(
-      ctx.obs, ctx.tracer,
-      ctx.metrics != nullptr ? ctx.metrics->stage() : "stateful",
+  manager_->SetTracer(
+      ctx.tracer, ctx.metrics != nullptr ? ctx.metrics->stage() : "stateful",
       ctx.task_id);
   return Status::OK();
 }
@@ -76,7 +77,6 @@ Status SpearBolt::Execute(const Tuple& tuple, Emitter* out) {
                                      ? sequence_++
                                      : tuple.event_time();
       manager_->OnTupleShed(coord);
-      if (metrics_ != nullptr) metrics_->AddTuplesShed(1);
       if (config_.window.type == WindowType::kCountBased) {
         Status emitted = ProcessWatermark(sequence_, out);
         if (!emitted.ok() && emitted.IsUnavailable()) {

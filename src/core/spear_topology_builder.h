@@ -148,9 +148,10 @@ class SpearTopologyBuilder {
   SpearTopologyBuilder& WatermarkWatchdog(DurationMs idle_ms);
 
   // ---- observability ------------------------------------------------------
-  /// Enables exported metrics (per-worker obs::MetricsRegistry shards;
-  /// final scrape in RunReport::observability; optional periodic sampler
-  /// via `options`). Off by default.
+  /// Exports the run's counters: a final scrape in
+  /// RunReport::observability, plus an optional periodic sampler via
+  /// `options`. The counters themselves are always kept (they back the
+  /// RunReport totals); this only decides whether they are exported.
   SpearTopologyBuilder& Metrics(obs::MetricsOptions options = {});
 
   /// Enables per-window TraceSpan recording of the full SPEAr decision

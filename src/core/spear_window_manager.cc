@@ -130,27 +130,27 @@ std::size_t SpearWindowManager::budget_elements() const {
   return budget_controller_ ? budget_controller_->budget() : budget_elements_;
 }
 
-void SpearWindowManager::SetObservability(obs::MetricsShard* shard,
-                                          obs::WindowTracer* tracer,
-                                          std::string stage, int task) {
+void SpearWindowManager::SetTracer(obs::WindowTracer* tracer,
+                                   std::string stage, int task) {
   tracer_ = tracer;
-  obs_stage_ = std::move(stage);
-  obs_task_ = task;
-  if (shard == nullptr) return;
-  obs_windows_expedited_ = shard->GetCounter("windows_expedited");
-  obs_windows_exact_ = shard->GetCounter("windows_exact");
-  obs_windows_degraded_ = shard->GetCounter("windows_degraded");
-  obs_windows_recovered_ = shard->GetCounter("windows_recovered");
-  obs_windows_shed_loss_ = shard->GetCounter("windows_shed_loss");
-  obs_deadline_aborts_ = shard->GetCounter("deadline_aborts");
-  obs_tuples_seen_ = shard->GetCounter("tuples_seen");
-  obs_late_tuples_ = shard->GetCounter("late_tuples");
-  obs_spill_tuples_ = shard->GetCounter("spill_tuples");
-  obs_spill_failures_ = shard->GetCounter("spill_failures");
-  obs_window_ns_ = shard->GetHistogram("window_processing_ns",
-                                       obs::HistogramBuckets::LatencyNs());
-  obs_buffered_tuples_ = shard->GetGauge("buffered_tuples");
-  obs_budget_bytes_ = shard->GetGauge("budget_state_bytes");
+  span_stage_ = std::move(stage);
+  span_task_ = task;
+}
+
+void SpearWindowManager::PublishMetrics() {
+  if (metrics_ == nullptr) return;
+  const DecisionStats& d = decision_stats_;
+  metrics_->Publish(WorkerMetrics::kWindowsExpedited, d.windows_expedited);
+  metrics_->Publish(WorkerMetrics::kWindowsExact, d.windows_exact);
+  metrics_->Publish(WorkerMetrics::kWindowsDegraded, d.windows_degraded);
+  metrics_->Publish(WorkerMetrics::kWindowsRecovered, d.windows_recovered);
+  metrics_->Publish(WorkerMetrics::kWindowsShedLoss, d.windows_shed);
+  metrics_->Publish(WorkerMetrics::kDeadlineAborts, d.deadline_aborts);
+  metrics_->Publish(WorkerMetrics::kTuplesSeen, d.tuples_seen);
+  metrics_->Publish(WorkerMetrics::kLateTuples, d.late_tuples);
+  metrics_->Publish(WorkerMetrics::kTuplesShed, d.tuples_shed);
+  metrics_->Set(WorkerMetrics::kBufferedTuples, BufferedTuples());
+  metrics_->Set(WorkerMetrics::kBudgetStateBytes, BudgetMemoryBytes());
 }
 
 SpearWindowManager::WindowState& SpearWindowManager::StateFor(
@@ -247,7 +247,6 @@ void SpearWindowManager::OnTupleShed(std::int64_t coord) {
     // late path — the tuple would not have joined any active window's
     // budget state anyway.
     ++decision_stats_.late_tuples;
-    if (obs_late_tuples_ != nullptr) obs_late_tuples_->Increment();
     for (auto& [start, state] : window_states_) {
       if (coord >= start && coord < start + config_.window.range) {
         state.anomalous = true;
@@ -293,7 +292,6 @@ void SpearWindowManager::NoteStreamTruncation() {
 void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
   if (coord < last_watermark_) {
     ++decision_stats_.late_tuples;
-    if (obs_late_tuples_ != nullptr) obs_late_tuples_->Increment();
     // Still-active windows that should have contained this tuple now hold
     // incomplete state: flag the delivery anomaly (Sec. 4.1).
     for (auto& [start, state] : window_states_) {
@@ -304,7 +302,6 @@ void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
     return;
   }
   ++decision_stats_.tuples_seen;
-  if (obs_tuples_seen_ != nullptr) obs_tuples_seen_->Increment();
   if (!saw_any_tuple_) {
     next_window_start_ = FirstWindowStartFor(config_.window, coord);
     saw_any_tuple_ = true;
@@ -330,20 +327,19 @@ void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
     case TupleCustody::Placement::kMemory:
       return;
     case TupleCustody::Placement::kSpilled:
-      if (obs_spill_tuples_ != nullptr) obs_spill_tuples_->Increment();
+      if (metrics_ != nullptr) metrics_->AddSpillTuples(1);
       break;
     case TupleCustody::Placement::kSpillFailed:
       // S stayed unavailable after retries: custody kept the tuple in
       // memory past the budget — degraded custody, not data loss.
       if (metrics_ != nullptr) metrics_->AddSpillFailures(1);
-      if (obs_spill_failures_ != nullptr) obs_spill_failures_->Increment();
       break;
   }
   ReportRetries(retries);
 }
 
 void SpearWindowManager::ReportRetries(const TupleCustody::Retries& retries) {
-  if (metrics_ == nullptr) return;
+  if (metrics_ == nullptr || retries.retries == 0) return;
   metrics_->AddRetries(retries.retries);
   metrics_->AddRecovered(retries.recovered);
 }
@@ -835,7 +831,6 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
                 degraded = true;
                 deadline_aborted = true;
                 ++decision_stats_.deadline_aborts;
-                if (metrics_ != nullptr) metrics_->AddDeadlineAborts(1);
               } else {
                 Result<CompleteWindow> window =
                     MaterializeWindow(bounds, deadline_ns);
@@ -845,7 +840,6 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
                   degraded = true;
                   deadline_aborted = true;
                   ++decision_stats_.deadline_aborts;
-                  if (metrics_ != nullptr) metrics_->AddDeadlineAborts(1);
                 } else {
                   SPEAR_RETURN_NOT_OK(window.status());
                   SPEAR_ASSIGN_OR_RETURN(
@@ -870,36 +864,19 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
         result.recovered = true;  // survives the exact-path overwrite
         ++decision_stats_.windows_recovered;
       }
-      if (state_it->second.shed > 0) {
-        ++decision_stats_.windows_shed;
-        if (metrics_ != nullptr) metrics_->AddWindowsShedLoss(1);
-      }
+      if (state_it->second.shed > 0) ++decision_stats_.windows_shed;
       if (degraded) {
         ++decision_stats_.windows_degraded;
-        if (metrics_ != nullptr) metrics_->AddDegradedWindows(1);
       } else if (needs_exact) {
         ++decision_stats_.windows_exact;
       } else {
         ++decision_stats_.windows_expedited;
       }
-      if (obs_windows_expedited_ != nullptr) {
-        if (degraded) {
-          obs_windows_degraded_->Increment();
-        } else if (needs_exact) {
-          obs_windows_exact_->Increment();
-        } else {
-          obs_windows_expedited_->Increment();
-        }
-        if (recovered_window) obs_windows_recovered_->Increment();
-        if (state_it->second.shed > 0) obs_windows_shed_loss_->Increment();
-        if (deadline_aborted) obs_deadline_aborts_->Increment();
-        obs_window_ns_->Observe(window_ns);
-      }
       if (tracer_ != nullptr) {
         const WindowState& ws = state_it->second;
         obs::TraceSpan span;
-        span.stage = obs_stage_;
-        span.task = obs_task_;
+        span.stage = span_stage_;
+        span.task = span_task_;
         span.window_start = bounds.start;
         span.window_end = bounds.end;
         using Verdict = obs::TraceSpan::Verdict;
@@ -959,10 +936,7 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
   // the paper fuses with this scan IS charged to that window, inside
   // DecideWindow.)
   EvictExpired();
-  if (obs_buffered_tuples_ != nullptr) {
-    obs_buffered_tuples_->Set(static_cast<double>(BufferedTuples()));
-    obs_budget_bytes_->Set(static_cast<double>(BudgetMemoryBytes()));
-  }
+  PublishMetrics();
   return out;
 }
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/spear_config.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ops/exact_operator.h"
 #include "ops/window_result.h"
@@ -136,16 +135,21 @@ class SpearWindowManager {
   const SpearOperatorConfig& config() const { return config_; }
   const DecisionStats& decision_stats() const { return decision_stats_; }
 
-  /// Wires the owning worker's metrics (fault counters: storage retries,
-  /// recoveries, degraded windows). Optional; null disables reporting.
+  /// Wires the owning worker's metrics: storage retries and spills as
+  /// they happen, and decision_stats() as published by PublishMetrics().
+  /// Optional; null disables reporting.
   void SetMetrics(WorkerMetrics* metrics) { metrics_ = metrics; }
 
-  /// Wires the observable layer: the worker's metrics shard (exported
-  /// counters/histograms/gauges) and/or the per-window trace sink. Either
-  /// may be null; `stage`/`task` label the emitted spans. Instruments are
-  /// resolved here once, so the per-window updates stay lock-free.
-  void SetObservability(obs::MetricsShard* shard, obs::WindowTracer* tracer,
-                        std::string stage, int task);
+  /// Publishes decision_stats() into the worker's counters (monotone, so
+  /// a restore that rolled the stats back leaves them in place until
+  /// replay passes them) and sets the occupancy gauges. Runs whenever
+  /// OnWatermark closes a window; the owner calls it once more at end of
+  /// stream. Never per tuple.
+  void PublishMetrics();
+
+  /// Wires the per-window trace sink (null: no spans); `stage`/`task`
+  /// label the spans.
+  void SetTracer(obs::WindowTracer* tracer, std::string stage, int task);
 
   /// Test hook for the accuracy-audit guard: drops the loss accounting —
   /// shed/lost tuples stop inflating ε̂_w and stop rescaling count/sum
@@ -154,10 +158,6 @@ class SpearWindowManager {
   /// audit must detect (proving the audit would catch a real regression
   /// in the ε̂_w arithmetic).
   void IgnoreLossAccountingForTesting() { ignore_loss_accounting_ = true; }
-
-  /// Spill attempts that stayed transiently failed after retries; the
-  /// affected tuples were kept in memory past the budget instead.
-  std::uint64_t spill_failures() const { return custody_.spill_failures(); }
 
   /// Test hook: wipes the budget state (samplers/trackers) of every
   /// active window, simulating corruption. Subsequent decisions detect it
@@ -293,23 +293,9 @@ class SpearWindowManager {
   WorkerMetrics* metrics_ = nullptr;
   bool ignore_loss_accounting_ = false;
 
-  // Observability (all null when the topology runs unobserved).
-  obs::WindowTracer* tracer_ = nullptr;
-  std::string obs_stage_;
-  int obs_task_ = 0;
-  obs::Counter* obs_windows_expedited_ = nullptr;
-  obs::Counter* obs_windows_exact_ = nullptr;
-  obs::Counter* obs_windows_degraded_ = nullptr;
-  obs::Counter* obs_windows_recovered_ = nullptr;
-  obs::Counter* obs_windows_shed_loss_ = nullptr;
-  obs::Counter* obs_deadline_aborts_ = nullptr;
-  obs::Counter* obs_tuples_seen_ = nullptr;
-  obs::Counter* obs_late_tuples_ = nullptr;
-  obs::Counter* obs_spill_tuples_ = nullptr;
-  obs::Counter* obs_spill_failures_ = nullptr;
-  obs::Histogram* obs_window_ns_ = nullptr;
-  obs::Gauge* obs_buffered_tuples_ = nullptr;
-  obs::Gauge* obs_budget_bytes_ = nullptr;
+  obs::WindowTracer* tracer_ = nullptr;  // null unless tracing
+  std::string span_stage_;
+  int span_task_ = 0;
 
   DecisionStats decision_stats_;
 };

@@ -11,24 +11,37 @@
 /// \file obs/metrics.h
 /// Lock-free runtime metrics: counters, gauges, and fixed-bucket
 /// histograms, organized into per-worker *shards* so the hot path never
-/// contends on a shared line. Instrument registration (rare: wiring time
-/// or Prepare) takes the shard mutex; updates are single relaxed atomic
-/// RMWs on instrument memory owned by one worker; a scrape walks every
-/// shard under the registration mutex and reads the atomics, merging
-/// per-(name, stage, task) series for export.
+/// contends on a shared line. Instrument registration (rare: wiring time)
+/// takes the shard mutex; updates are relaxed atomic operations on
+/// instrument memory owned by one worker; a scrape walks every shard under
+/// the registration mutex and reads the atomics, merging per-(name, stage,
+/// task) series for export.
 ///
-/// This is the *observable* layer (Prometheus/JSON export, periodic
-/// sampling, TraceSpans). The pre-existing `spear::MetricsRegistry` in
-/// runtime/metrics.h stays the end-of-run summary substrate; the two are
-/// reconciled by the metrics-merge invariant test.
+/// This is the storage of every runtime counter, not a second layer: each
+/// `spear::WorkerMetrics` (runtime/metrics.h) keeps its counters as
+/// instruments of its worker's shard, so the RunReport totals and an
+/// exported scrape read the same memory.
 
 namespace spear::obs {
 
 /// Monotonic event count. Single-writer hot path, any-thread scrape.
 class Counter {
  public:
-  void Add(std::uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
+  /// A relaxed load and store, not an atomic read-modify-write: only the
+  /// counter's one writer may call it.
+  void Add(std::uint64_t n) {
+    value_.store(value_.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+  }
   void Increment() { Add(1); }
+  /// Publishes a running total kept elsewhere (single writer). Monotone:
+  /// a total that went back (a restored snapshot) leaves the value where
+  /// it is until the total passes it again.
+  void RaiseTo(std::uint64_t total) {
+    if (total > value_.load(std::memory_order_relaxed)) {
+      value_.store(total, std::memory_order_relaxed);
+    }
+  }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

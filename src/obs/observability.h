@@ -17,8 +17,9 @@
 
 /// \file obs/observability.h
 /// Topology-level observability configuration and the end-of-run report.
-/// Off by default: a topology without `.Metrics()` / `.Trace()` pays a
-/// null-pointer check at wiring time and nothing else.
+/// Every run keeps its counters in an obs::MetricsRegistry (they back the
+/// RunReport totals); `.Metrics()` only exports them (final scrape,
+/// optional sampler) and `.Trace()` records spans. Both default off.
 
 namespace spear::obs {
 
@@ -33,8 +34,8 @@ struct MetricsOptions {
   std::function<void(const std::string&)> sink;
 };
 
-/// Topology observability config (Topology::obs). Both layers default
-/// off; `.Metrics()`/`.Trace()` flip them on.
+/// Topology observability config (Topology::obs). Export and tracing
+/// default off; `.Metrics()`/`.Trace()` flip them on.
 struct ObsConfig {
   bool metrics_enabled = false;
   bool trace_enabled = false;

@@ -16,6 +16,11 @@ const char* VerdictName(TraceSpan::Verdict verdict) {
 
 void WindowTracer::Record(TraceSpan span) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (dedup_replays_ &&
+      !windows_.emplace(span.window_start, span.window_end).second &&
+      replaying_) {
+    return;  // traced when the window first closed
+  }
   ++seen_;
   const std::size_t every = options_.sample_every == 0 ? 1 : options_.sample_every;
   if ((seen_ - 1) % every != 0) {
@@ -27,6 +32,16 @@ void WindowTracer::Record(TraceSpan span) {
     return;
   }
   spans_.push_back(std::move(span));
+}
+
+void WindowTracer::SetReplaying(bool replaying) {
+  std::lock_guard<std::mutex> lock(mu_);
+  replaying_ = replaying;
+}
+
+void WindowTracer::ForgetWindows() {
+  std::lock_guard<std::mutex> lock(mu_);
+  windows_.clear();
 }
 
 std::vector<TraceSpan> WindowTracer::Snapshot() const {

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/time.h"
@@ -74,9 +76,20 @@ struct TraceOptions {
 /// mutex here is off the tuple hot path entirely.
 class WindowTracer {
  public:
-  explicit WindowTracer(TraceOptions options) : options_(options) {}
+  /// \param dedup_replays remember the [start, end) of every window
+  ///        recorded since the last ForgetWindows(), and while replaying
+  ///        record no second span for one of them: the first-wins rule of
+  ///        the executor's window-result dedup, for a checkpointed worker
+  ///        whose recovery catch-up re-closes windows it already traced.
+  explicit WindowTracer(TraceOptions options, bool dedup_replays = false)
+      : options_(options), dedup_replays_(dedup_replays) {}
 
   void Record(TraceSpan span);
+
+  /// Brackets a recovery catch-up (see dedup_replays).
+  void SetReplaying(bool replaying);
+  /// Called at each snapshot: windows closed before it can never re-close.
+  void ForgetWindows();
 
   std::vector<TraceSpan> Snapshot() const;
   std::uint64_t recorded() const;
@@ -85,8 +98,11 @@ class WindowTracer {
 
  private:
   TraceOptions options_;
+  const bool dedup_replays_;
   mutable std::mutex mu_;
   std::vector<TraceSpan> spans_;
+  bool replaying_ = false;
+  std::set<std::pair<std::int64_t, std::int64_t>> windows_;
   std::uint64_t seen_ = 0;
   std::uint64_t sampled_out_ = 0;
   std::uint64_t dropped_ = 0;

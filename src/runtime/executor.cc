@@ -89,10 +89,12 @@ Status GuardedBoltCall(StatusCode code, const char* what, Fn&& fn) {
 /// the restored manager re-closes windows that were already delivered
 /// before the crash. The seen set is cleared after every successful
 /// snapshot: windows emitted before a snapshot are no longer part of any
-/// restorable state, so they can never re-emit.
+/// restorable state, so they can never re-emit. The worker's tracer, if
+/// any, applies the same first-wins rule to its spans.
 class WindowDedupEmitter : public Emitter {
  public:
-  explicit WindowDedupEmitter(Emitter* inner) : inner_(inner) {}
+  WindowDedupEmitter(Emitter* inner, obs::WindowTracer* tracer)
+      : inner_(inner), tracer_(tracer) {}
 
   void Emit(Tuple tuple) override {
     std::string key;
@@ -103,9 +105,12 @@ class WindowDedupEmitter : public Emitter {
     inner_->Emit(std::move(tuple));
   }
 
-  void Arm() { armed_ = true; }
-  void Disarm() { armed_ = false; }
-  void ClearSeen() { seen_.clear(); }
+  void Arm() { SetArmed(true); }
+  void Disarm() { SetArmed(false); }
+  void ClearSeen() {
+    seen_.clear();
+    if (tracer_ != nullptr) tracer_->ForgetWindows();
+  }
 
  private:
   static bool ResultKey(const Tuple& tuple, std::string* key) {
@@ -122,7 +127,13 @@ class WindowDedupEmitter : public Emitter {
     return true;
   }
 
+  void SetArmed(bool armed) {
+    armed_ = armed;
+    if (tracer_ != nullptr) tracer_->SetReplaying(armed);
+  }
+
   Emitter* inner_;
+  obs::WindowTracer* tracer_;
   bool armed_ = false;
   std::unordered_set<std::string> seen_;
 };
@@ -143,21 +154,19 @@ class Executor::StageEmitter : public Emitter {
  public:
   StageEmitter(int my_task, const Partitioner* next_partitioner,
                std::vector<ElementQueue*> next_queues, std::size_t batch_max,
-               WorkerMetrics* metrics, std::vector<Tuple>* local_output,
-               obs::Counter* obs_backpressure_ns = nullptr)
+               WorkerMetrics* metrics, std::vector<Tuple>* local_output)
       : my_task_(my_task),
         next_partitioner_(next_partitioner),
         next_queues_(std::move(next_queues)),
         batch_max_(std::max<std::size_t>(batch_max, 1)),
         metrics_(metrics),
-        local_output_(local_output),
-        obs_backpressure_ns_(obs_backpressure_ns) {
+        local_output_(local_output) {
     buffers_.resize(next_queues_.size());
     for (auto& buffer : buffers_) buffer.reserve(batch_max_);
   }
 
   void Emit(Tuple tuple) override {
-    if (metrics_ != nullptr) metrics_->AddTuplesOut(1);
+    ++emitted_;
     if (next_queues_.empty()) {
       // Sink stage: collect into the worker's private vector (merged once
       // after join) instead of contending on a shared output lock.
@@ -197,6 +206,13 @@ class Executor::StageEmitter : public Emitter {
 
   bool HasDownstream() const { return !next_queues_.empty(); }
 
+  /// Adds the tuples emitted since the last call to the worker's
+  /// tuples_out: once per popped batch or source pull, not per tuple.
+  void PublishEmitted() {
+    if (metrics_ != nullptr && emitted_ > 0) metrics_->AddTuplesOut(emitted_);
+    emitted_ = 0;
+  }
+
  private:
   void Flush(std::size_t target) {
     std::vector<Element>& buffer = buffers_[target];
@@ -205,9 +221,6 @@ class Executor::StageEmitter : public Emitter {
     next_queues_[target]->PushAll(std::move(buffer), &blocked_ns);
     if (blocked_ns > 0 && metrics_ != nullptr) {
       metrics_->AddBackpressureNs(blocked_ns);
-    }
-    if (blocked_ns > 0 && obs_backpressure_ns_ != nullptr) {
-      obs_backpressure_ns_->Add(static_cast<std::uint64_t>(blocked_ns));
     }
     // The vector's storage was handed to the queue as a whole batch node;
     // start a fresh allocation for the next batch.
@@ -220,9 +233,9 @@ class Executor::StageEmitter : public Emitter {
   const std::size_t batch_max_;
   WorkerMetrics* metrics_;
   std::vector<Tuple>* local_output_;
-  obs::Counter* obs_backpressure_ns_;
   std::vector<std::vector<Element>> buffers_;
   std::uint64_t rr_state_ = 0;
+  std::uint64_t emitted_ = 0;
 };
 
 Result<RunReport> Executor::Run() {
@@ -263,22 +276,19 @@ Result<RunReport> Executor::Run() {
     }
   }
   // --- Observability wiring ----------------------------------------------
-  // Null unless `.Metrics()` / `.Trace()` were requested: an unobserved
-  // topology pays pointer checks at wiring time and nothing on the hot
-  // path. Shards/tracers are created here (single-threaded) so workers
-  // never contend on registration.
+  // Every worker counts into its shard of report.metrics, always;
+  // `.Metrics()` only adds the sampler and the final scrape into
+  // report.observability. Tracers exist only with `.Trace()`. Both are
+  // created here (single-threaded) so workers never contend on
+  // registration.
   const obs::ObsConfig& obs_cfg = topology_.obs;
-  std::unique_ptr<obs::MetricsRegistry> obs_registry;
-  if (obs_cfg.metrics_enabled) {
-    obs_registry = std::make_unique<obs::MetricsRegistry>();
-  }
   std::vector<std::unique_ptr<obs::WindowTracer>> tracers;
-  obs::PeriodicSampler sampler(obs_registry.get(), obs_cfg.metrics);
+  obs::PeriodicSampler sampler(
+      obs_cfg.metrics_enabled ? &report.metrics.exported() : nullptr,
+      obs_cfg.metrics);
 
-  // The source's emitter is not a registered worker (the registry's size
-  // is observable by callers); its back-pressure counters are folded into
-  // report.overload after the join.
-  WorkerMetrics source_metrics("source", 0);
+  // The source counts like a worker, under stage "source".
+  WorkerMetrics* const source_metrics = report.metrics.Register("source", 0);
   // Source-side signals read by workers (watermark lag) and the watchdog
   // (stall detection).
   std::atomic<Timestamp> source_wm{kMinTimestamp};
@@ -370,12 +380,10 @@ Result<RunReport> Executor::Run() {
 
     for (int task = 0; task < stage.parallelism; ++task) {
       WorkerMetrics* metrics = report.metrics.Register(stage.name, task);
-      obs::MetricsShard* obs_shard =
-          obs_registry != nullptr ? obs_registry->GetShard(stage.name, task)
-                                  : nullptr;
       obs::WindowTracer* tracer = nullptr;
       if (obs_cfg.trace_enabled) {
-        tracers.push_back(std::make_unique<obs::WindowTracer>(obs_cfg.trace));
+        tracers.push_back(
+            std::make_unique<obs::WindowTracer>(obs_cfg.trace, ckpt.enabled));
         tracer = tracers.back().get();
       }
       ElementQueue* in_queue = queues[i][static_cast<std::size_t>(task)].get();
@@ -389,35 +397,12 @@ Result<RunReport> Executor::Run() {
           &worker_dead_letters[worker_index++];
 
       threads.emplace_back([&, i, task, metrics, in_queue, next_partitioner,
-                            sink_output, dead_letters, obs_shard, tracer,
+                            sink_output, dead_letters, tracer,
                             next_queues = std::move(next_queues)]() mutable {
         const StageSpec& my_stage = topology_.stages[i];
-        // Resolve this worker's instruments once; updates are lock-free.
-        obs::Counter* obs_backpressure = nullptr;
-        obs::Counter* obs_tuples_in = nullptr;
-        obs::Counter* obs_batches = nullptr;
-        obs::Counter* obs_snapshots = nullptr;
-        obs::Counter* obs_snapshot_bytes = nullptr;
-        obs::Counter* obs_restores = nullptr;
-        obs::Gauge* obs_queue_depth = nullptr;
-        obs::Gauge* obs_shed_probability = nullptr;
-        if (obs_shard != nullptr) {
-          obs_backpressure = obs_shard->GetCounter("backpressure_wait_ns");
-          obs_tuples_in = obs_shard->GetCounter("tuples_in");
-          obs_batches = obs_shard->GetCounter("batches_popped");
-          obs_snapshots = obs_shard->GetCounter("checkpoint_snapshots");
-          obs_snapshot_bytes = obs_shard->GetCounter("checkpoint_bytes");
-          obs_restores = obs_shard->GetCounter("checkpoint_restores");
-          obs_queue_depth = obs_shard->GetGauge("queue_depth");
-          obs_shard->GetGauge("queue_capacity")
-              ->Set(static_cast<double>(in_queue->capacity()));
-          if (detectors[i] != nullptr) {
-            obs_shed_probability = obs_shard->GetGauge("shed_probability");
-          }
-        }
+        metrics->Set(WorkerMetrics::kQueueCapacity, in_queue->capacity());
         StageEmitter emitter(task, next_partitioner, std::move(next_queues),
-                             batch_max, metrics, sink_output,
-                             obs_backpressure);
+                             batch_max, metrics, sink_output);
 
         std::unique_ptr<Bolt> bolt = my_stage.bolt_factory(task);
         if (bolt == nullptr) {
@@ -431,7 +416,6 @@ Result<RunReport> Executor::Run() {
         ctx.parallelism = my_stage.parallelism;
         ctx.metrics = metrics;
         ctx.overload = detector;
-        ctx.obs = obs_shard;
         ctx.tracer = tracer;
         if (Status s = GuardedBoltCall(
                 StatusCode::kInternal, "bolt prepare",
@@ -450,7 +434,7 @@ Result<RunReport> Executor::Run() {
         // cp stays null, no logging, no snapshots, no dedup hashing) ----
         Checkpointable* cp = ckpt.enabled ? bolt->checkpointable() : nullptr;
         const bool log_replay = cp != nullptr;
-        WindowDedupEmitter dedup(&emitter);
+        WindowDedupEmitter dedup(&emitter, tracer);
         Emitter* const bolt_out =
             log_replay ? static_cast<Emitter*>(&dedup) : &emitter;
         std::deque<Tuple> replay_log;
@@ -485,7 +469,6 @@ Result<RunReport> Executor::Run() {
           }
           ++restarts;
           metrics->AddWorkerRestarts(1);
-          if (obs_restores != nullptr) obs_restores->Increment();
           bolt = my_stage.bolt_factory(task);
           if (bolt == nullptr) {
             return Status::Internal("stage '" + my_stage.name +
@@ -556,7 +539,7 @@ Result<RunReport> Executor::Run() {
 
         std::vector<Element> batch;
         batch.reserve(batch_max);
-        std::uint32_t obs_gauge_tick = 0;
+        std::uint32_t gauge_tick = 0;
 
         while (!failed.load(std::memory_order_relaxed)) {
           batch.clear();
@@ -578,17 +561,18 @@ Result<RunReport> Executor::Run() {
           // Decimated 64x: a gauge is a point-in-time sample scraped at
           // ms-scale, while in_queue->size() takes the queue mutex — a
           // per-batch update would double lock traffic at batch size 1.
-          if (obs_queue_depth != nullptr && (obs_gauge_tick++ & 63u) == 0) {
-            obs_queue_depth->Set(
-                static_cast<double>(in_queue->size() + batch.size()));
-            if (obs_shed_probability != nullptr) {
-              obs_shed_probability->Set(detector->shed_probability());
+          if ((gauge_tick++ & 63u) == 0) {
+            metrics->Set(WorkerMetrics::kQueueDepth,
+                         in_queue->size() + batch.size());
+            if (detector != nullptr) {
+              metrics->Set(WorkerMetrics::kShedProbability,
+                           detector->shed_probability());
             }
           }
 
           // Drain the popped batch locally; metrics updates are batched —
-          // one timer read pair and one AddTuplesIn/AddBusyNs per popped
-          // batch instead of per tuple.
+          // one timer read pair and one tuples in/out and busy-time add
+          // per popped batch instead of per tuple.
           std::uint64_t batch_tuples = 0;
           std::int64_t batch_busy = 0;
           Status status = Status::OK();
@@ -734,12 +718,7 @@ Result<RunReport> Executor::Run() {
                             // restorable state anymore, so they can never
                             // re-emit: forget their keys.
                             dedup.ClearSeen();
-                            metrics->AddSnapshots(1);
-                            if (obs_snapshots != nullptr) {
-                              obs_snapshots->Increment();
-                              obs_snapshot_bytes->Add(
-                                  snapshot.payload.size());
-                            }
+                            metrics->AddSnapshots(1, snapshot.payload.size());
                           }
                           // A failed Put leaves the previous snapshot
                           // (and the longer replay log) in charge — the
@@ -797,10 +776,7 @@ Result<RunReport> Executor::Run() {
 
           metrics->AddTuplesIn(batch_tuples);
           metrics->AddBusyNs(batch_busy);
-          if (obs_tuples_in != nullptr) {
-            obs_tuples_in->Add(batch_tuples);
-            obs_batches->Increment();
-          }
+          emitter.PublishEmitted();
           if (!status.ok()) {
             record_error(status);
             return;
@@ -812,21 +788,10 @@ Result<RunReport> Executor::Run() {
   }
 
   // --- Source thread ------------------------------------------------------
-  obs::MetricsShard* source_shard =
-      obs_registry != nullptr ? obs_registry->GetShard("source", 0) : nullptr;
-  threads.emplace_back([&, source_shard]() {
-    obs::Counter* obs_emitted = nullptr;
-    obs::Counter* obs_source_backpressure = nullptr;
-    obs::Gauge* obs_watermark = nullptr;
-    if (source_shard != nullptr) {
-      obs_emitted = source_shard->GetCounter("tuples_emitted");
-      obs_source_backpressure =
-          source_shard->GetCounter("backpressure_wait_ns");
-      obs_watermark = source_shard->GetGauge("watermark_ms");
-    }
+  threads.emplace_back([&]() {
     StageEmitter emitter(0, &topology_.stages[0].input_partitioner,
-                         queues_of_stage(0), batch_max, &source_metrics,
-                         nullptr, obs_source_backpressure);
+                         queues_of_stage(0), batch_max, source_metrics,
+                         nullptr);
     ReplayableSpout* const replay_source =
         topology_.source.spout->replayable();
     // With interval <= 0 the generator is never consulted: only the final
@@ -847,7 +812,6 @@ Result<RunReport> Executor::Run() {
         source_offset.store(replay_source->ReplayOffset(),
                             std::memory_order_relaxed);
       }
-      std::uint64_t emitted_this_batch = 0;
       for (Tuple& tuple : pulled) {
         // Re-check per tuple: once the watchdog closed the stream, every
         // further emission would land behind its flush marker and be
@@ -856,17 +820,14 @@ Result<RunReport> Executor::Run() {
         if (source_closed.load(std::memory_order_acquire)) break;
         const Timestamp t = tuple.event_time();
         emitter.Emit(std::move(tuple));
-        ++emitted_this_batch;
         if (topology_.source.watermark_interval > 0 && generator.Observe(t)) {
           const Timestamp wm = generator.current();
           source_wm.store(wm, std::memory_order_relaxed);
-          if (obs_watermark != nullptr) {
-            obs_watermark->Set(static_cast<double>(wm));
-          }
+          source_metrics->Set(WorkerMetrics::kWatermarkMs, wm);
           emitter.Broadcast(Element::MakeWatermark(wm, 0));
         }
       }
-      if (obs_emitted != nullptr) obs_emitted->Add(emitted_this_batch);
+      emitter.PublishEmitted();
     }
     // Final watermark releases every buffered window, then flush — unless
     // the watchdog already closed the stream on this source's behalf.
@@ -981,15 +942,14 @@ Result<RunReport> Executor::Run() {
   report.dead_letters_dropped =
       dropped_dead_letters.load(std::memory_order_relaxed);
   report.overload = report.metrics.OverloadTotals();
-  report.overload.Accumulate(source_metrics.overload());
   report.overload.watchdog_advances +=
       watchdog_advances.load(std::memory_order_relaxed);
   // Final observability scrape into the report: every metric series and
   // every retained trace span, merged across worker shards.
   report.observability.metrics_enabled = obs_cfg.metrics_enabled;
   report.observability.trace_enabled = obs_cfg.trace_enabled;
-  if (obs_registry != nullptr) {
-    report.observability.metrics = obs_registry->Collect();
+  if (obs_cfg.metrics_enabled) {
+    report.observability.metrics = report.metrics.exported().Collect();
     report.observability.scrapes = sampler.scrapes();
   }
   for (const auto& tracer : tracers) {

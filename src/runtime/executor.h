@@ -60,7 +60,8 @@ struct DeadLetter {
 struct RunReport {
   /// Tuples emitted by the final stage, in collection order.
   std::vector<Tuple> output;
-  /// Per-worker telemetry.
+  /// Per-worker telemetry, and the registry its counters live in (what
+  /// `.Metrics()` exports).
   MetricsRegistry metrics;
   /// Quarantined tuples, merged across workers in stage/task order.
   /// Capped at Topology::max_dead_letters entries; the overflow is

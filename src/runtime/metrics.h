@@ -1,18 +1,20 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "obs/metrics.h"
 
 /// \file metrics.h
 /// Runtime telemetry, modeled on Storm's metrics API (which the paper uses
 /// to measure per-window processing time). Each worker thread owns a
-/// WorkerMetrics it writes without synchronization; the registry snapshots
-/// them after execution.
+/// WorkerMetrics, the one place its runtime facts are counted; the
+/// registry sums them after execution, and an exported scrape reads the
+/// same counters during it.
 
 namespace spear {
 
@@ -85,44 +87,83 @@ struct OverloadStats {
   }
 };
 
-/// \brief One worker thread's counters. Written by exactly one thread.
+/// \brief One worker's counters, gauges and samples.
+///
+/// Counters and gauges are relaxed-atomic instruments of the worker's
+/// obs::MetricsShard, resolved once at construction: the RunReport totals
+/// and an exported scrape read the same memory. Each instrument has one
+/// writer, the worker's thread, so an add is a relaxed load and store,
+/// never an atomic read-modify-write; any thread may read. The window-time
+/// and memory samples are plain vectors, read after the worker joined.
 class WorkerMetrics {
  public:
-  WorkerMetrics(std::string stage, int task_id)
-      : stage_(std::move(stage)), task_id_(task_id) {}
+  /// Every counted fact of a worker, one counter each (exported names in
+  /// metrics.cc).
+  enum Count : std::uint8_t {
+    kTuplesIn, kBatchesPopped, kTuplesOut, kBusyNs, kBackpressureNs,
+    kRetries, kRecovered, kQuarantined, kRestores, kSnapshots,
+    kSnapshotBytes, kSpillTuples, kSpillFailures,
+    // SPEAr's per-window facts, published from its snapshotted
+    // DecisionStats (see Publish).
+    kWindowsExpedited, kWindowsExact, kWindowsDegraded, kWindowsRecovered,
+    kWindowsShedLoss, kDeadlineAborts, kTuplesSeen, kLateTuples,
+    kTuplesShed, kNumCounts
+  };
+  /// Point-in-time levels, exported as gauges.
+  enum Level : std::uint8_t {
+    kQueueDepth, kQueueCapacity, kShedProbability, kWatermarkMs,
+    kBufferedTuples, kBudgetStateBytes, kNumLevels
+  };
 
-  void RecordWindowNs(std::int64_t ns) { window_ns_.push_back(ns); }
+  /// A worker outside any run (a bolt driven by hand): owns a private
+  /// shard.
+  WorkerMetrics(std::string stage, int task_id);
+  /// A worker of a run: its instruments live in `shard`, which no other
+  /// WorkerMetrics may write.
+  explicit WorkerMetrics(obs::MetricsShard* shard);
+
+  void RecordWindowNs(std::int64_t ns) {
+    window_ns_.push_back(ns);
+    window_ns_histogram_->Observe(ns);
+  }
   void RecordMemoryBytes(std::size_t bytes) {
     memory_bytes_.push_back(static_cast<std::int64_t>(bytes));
   }
-  void AddTuplesIn(std::uint64_t n) { tuples_in_ += n; }
-  void AddTuplesOut(std::uint64_t n) { tuples_out_ += n; }
-  void AddBusyNs(std::int64_t ns) { busy_ns_ += ns; }
-  void AddRetries(std::uint64_t n) { faults_.retries += n; }
-  void AddRecovered(std::uint64_t n) { faults_.recovered += n; }
-  void AddQuarantined(std::uint64_t n) { faults_.quarantined += n; }
-  void AddDegradedWindows(std::uint64_t n) { faults_.degraded_windows += n; }
-  void AddWorkerRestarts(std::uint64_t n) { faults_.worker_restarts += n; }
-  void AddSnapshots(std::uint64_t n) { faults_.snapshots += n; }
-  void AddSpillFailures(std::uint64_t n) { faults_.spill_failures += n; }
-  void AddTuplesShed(std::uint64_t n) { overload_.tuples_shed += n; }
-  void AddWindowsShedLoss(std::uint64_t n) { overload_.windows_shed_loss += n; }
-  void AddDeadlineAborts(std::uint64_t n) { overload_.deadline_aborts += n; }
-  void AddBackpressureNs(std::int64_t ns) {
-    overload_.backpressure_wait_ns += ns;
+  /// One popped batch of `n` tuples.
+  void AddTuplesIn(std::uint64_t n) {
+    Add(kTuplesIn, n);
+    Add(kBatchesPopped, 1);
   }
+  void AddTuplesOut(std::uint64_t n) { Add(kTuplesOut, n); }
+  void AddBusyNs(std::int64_t ns) { Add(kBusyNs, Ns(ns)); }
+  void AddBackpressureNs(std::int64_t ns) { Add(kBackpressureNs, Ns(ns)); }
+  void AddRetries(std::uint64_t n) { Add(kRetries, n); }
+  void AddRecovered(std::uint64_t n) { Add(kRecovered, n); }
+  void AddQuarantined(std::uint64_t n) { Add(kQuarantined, n); }
+  void AddWorkerRestarts(std::uint64_t n) { Add(kRestores, n); }
+  void AddSnapshots(std::uint64_t n, std::uint64_t bytes = 0) {
+    Add(kSnapshots, n);
+    Add(kSnapshotBytes, bytes);
+  }
+  void AddSpillTuples(std::uint64_t n) { Add(kSpillTuples, n); }
+  void AddSpillFailures(std::uint64_t n) { Add(kSpillFailures, n); }
+  /// Publishes a running total counted elsewhere, monotonically (see
+  /// obs::Counter::RaiseTo).
+  void Publish(Count count, std::uint64_t total) {
+    counts_[count]->RaiseTo(total);
+  }
+  void Set(Level level, double value) { levels_[level]->Set(value); }
 
-  const std::string& stage() const { return stage_; }
-  int task_id() const { return task_id_; }
-  std::uint64_t tuples_in() const { return tuples_in_; }
-  std::uint64_t tuples_out() const { return tuples_out_; }
-  std::int64_t busy_ns() const { return busy_ns_; }
-  const FaultStats& faults() const { return faults_; }
-  const OverloadStats& overload() const { return overload_; }
-  const std::vector<std::int64_t>& window_ns() const { return window_ns_; }
-  const std::vector<std::int64_t>& memory_bytes() const {
-    return memory_bytes_;
+  const std::string& stage() const { return shard_->stage(); }
+  int task_id() const { return shard_->task(); }
+  std::uint64_t tuples_in() const { return Get(kTuplesIn); }
+  std::uint64_t tuples_out() const { return Get(kTuplesOut); }
+  std::int64_t busy_ns() const {
+    return static_cast<std::int64_t>(Get(kBusyNs));
   }
+  FaultStats faults() const;
+  OverloadStats overload() const;
+  const std::vector<std::int64_t>& window_ns() const { return window_ns_; }
 
   MetricSummary WindowSummary() const {
     return MetricSummary::FromSamples(window_ns_);
@@ -132,24 +173,36 @@ class WorkerMetrics {
   }
 
  private:
-  const std::string stage_;
-  const int task_id_;
-  std::uint64_t tuples_in_ = 0;
-  std::uint64_t tuples_out_ = 0;
-  std::int64_t busy_ns_ = 0;
-  FaultStats faults_;
-  OverloadStats overload_;
+  WorkerMetrics(obs::MetricsShard* shard,
+                std::unique_ptr<obs::MetricsShard> own_shard);
+
+  void Add(Count count, std::uint64_t n) { counts_[count]->Add(n); }
+  std::uint64_t Get(Count count) const { return counts_[count]->value(); }
+  static std::uint64_t Ns(std::int64_t ns) {
+    return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
+  }
+
+  std::unique_ptr<obs::MetricsShard> own_shard_;  // standalone workers only
+  obs::MetricsShard* const shard_;
+  std::array<obs::Counter*, kNumCounts> counts_;
+  std::array<obs::Gauge*, kNumLevels> levels_;
+  obs::Histogram* const window_ns_histogram_;
   std::vector<std::int64_t> window_ns_;
   std::vector<std::int64_t> memory_bytes_;
 };
 
-/// \brief Owns every worker's metrics for one topology run.
+/// \brief Owns every worker's metrics for one topology run, and the one
+/// obs::MetricsRegistry their instruments live in.
 class MetricsRegistry {
  public:
-  /// Creates (and owns) metrics for one worker. Called at wiring time,
-  /// before threads start — no synchronization needed afterwards.
+  MetricsRegistry() : exported_(std::make_unique<obs::MetricsRegistry>()) {}
+
+  /// Creates (and owns) metrics for one worker, on the (stage, task)
+  /// shard; register each (stage, task) once, so the shard has one
+  /// writer. Called at wiring time, before threads start.
   WorkerMetrics* Register(const std::string& stage, int task_id) {
-    workers_.push_back(std::make_unique<WorkerMetrics>(stage, task_id));
+    workers_.push_back(
+        std::make_unique<WorkerMetrics>(exported_->GetShard(stage, task_id)));
     return workers_.back().get();
   }
 
@@ -185,11 +238,12 @@ class MetricsRegistry {
     return total;
   }
 
-  const std::vector<std::unique_ptr<WorkerMetrics>>& workers() const {
-    return workers_;
-  }
+  /// The instruments of every registered worker (and of any other shard a
+  /// run adds, such as its source): what a scrape exports.
+  obs::MetricsRegistry& exported() { return *exported_; }
 
  private:
+  std::unique_ptr<obs::MetricsRegistry> exported_;
   std::vector<std::unique_ptr<WorkerMetrics>> workers_;
 };
 

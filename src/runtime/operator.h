@@ -24,7 +24,6 @@ class ReplayableSpout;   // checkpoint/checkpointable.h
 class OverloadDetector;  // runtime/overload.h
 
 namespace obs {
-class MetricsShard;  // obs/metrics.h
 class WindowTracer;  // obs/trace.h
 }  // namespace obs
 
@@ -39,15 +38,13 @@ class Emitter {
 struct BoltContext {
   int task_id = 0;
   int parallelism = 1;
+  /// This worker's counters, gauges and samples (always set by the
+  /// executor; null when a bolt is driven by hand without one).
   WorkerMetrics* metrics = nullptr;
   /// This stage's overload detector, or null when no latency SLO is
   /// configured. Admission-shedding bolts read shed_probability() per
   /// tuple and report window latencies back.
   OverloadDetector* overload = nullptr;
-  /// This worker's observability shard, or null unless the topology was
-  /// built with `.Metrics()`. Bolts resolve instruments once at Prepare
-  /// and update them lock-free afterwards.
-  obs::MetricsShard* obs = nullptr;
   /// This worker's window-trace sink, or null unless built with
   /// `.Trace()`. SPEAr bolts record one TraceSpan per closed window.
   obs::WindowTracer* tracer = nullptr;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -86,7 +87,7 @@ struct Topology {
   /// run or the watchdog closes a stalled source — unsticks operators
   /// blocked outside the executor's control (e.g. a stalled spout).
   std::vector<std::function<void()>> cancel_hooks;
-  /// Observability: exported metrics + per-window trace spans (both off
+  /// Observability: metrics export + per-window trace spans (both off
   /// by default; see obs/observability.h and the `.Metrics()`/`.Trace()`
   /// builder knobs).
   obs::ObsConfig obs;
@@ -189,10 +190,10 @@ class TopologyBuilder {
     return *this;
   }
 
-  /// Enables the exported-metrics layer (obs::MetricsRegistry shards per
-  /// worker, queue/backpressure gauges, checkpoint counters, and the
-  /// final scrape in RunReport::observability). `options` may add a
-  /// periodic sampler thread (scrape_period_ms + sink).
+  /// Exports the run's counters and gauges (kept per worker in every run,
+  /// see runtime/metrics.h): a final scrape in RunReport::observability,
+  /// and with `options` a periodic sampler thread (scrape_period_ms +
+  /// sink).
   TopologyBuilder& Metrics(obs::MetricsOptions options = {}) {
     topology_.obs.metrics_enabled = true;
     topology_.obs.metrics = std::move(options);
@@ -218,6 +219,15 @@ class TopologyBuilder {
     if (!topology_.source.spout) return Status::Invalid("topology has no source");
     if (topology_.stages.empty()) return Status::Invalid("topology has no stages");
     for (const StageSpec& s : topology_.stages) {
+      // Each (stage, task) owns one metrics shard; "source" is the
+      // source's.
+      if (s.name == "source" ||
+          std::count_if(topology_.stages.begin(), topology_.stages.end(),
+                        [&](const StageSpec& o) { return o.name == s.name; }) >
+              1) {
+        return Status::Invalid("stage name '" + s.name +
+                               "' is reserved or not unique");
+      }
       if (s.parallelism < 1) {
         return Status::Invalid("stage '" + s.name + "' parallelism must be >= 1");
       }

@@ -151,6 +151,50 @@ TEST(RecoveryTest, CrashChaosRunMatchesCleanRunWithExactlyOnceWindows) {
   EXPECT_GE(recovered_flags, 1u);
 }
 
+std::uint64_t ScrapedTotal(const RunReport& report, const std::string& name) {
+  std::uint64_t total = 0;
+  for (const obs::MetricSample& s : report.observability.metrics) {
+    if (s.kind == obs::MetricSample::Kind::kCounter && s.name == name) {
+      total += static_cast<std::uint64_t>(s.value);
+    }
+  }
+  return total;
+}
+
+// A restore rolls a worker's state back to its snapshot and the replay
+// re-closes windows the worker already delivered. The exported counters
+// and the trace must count each delivered window (and each tuple) once,
+// as the snapshotted DecisionStats and the deduplicated output do.
+TEST(RecoveryTest, ExportedCountersCountDeliveredWindowsOnce) {
+  const int n = 4000;
+  FaultPlan plan = CrashPlan(RecoverySeed());
+  FaultInjector injector(plan);
+  DecisionStatsCollector decisions;
+
+  CheckpointConfig ckpt;
+  ckpt.interval = 500;
+  SpearTopologyBuilder builder;
+  ConfigureRecoveryQuery(builder, n);
+  builder.InjectFaults(&injector)
+      .Checkpoint(ckpt)
+      .CollectDecisions(&decisions)
+      .Metrics()
+      .Trace();
+  auto report = Executor(std::move(*builder.Build())).Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GE(report->recoveries, 2u);
+
+  const DecisionStats total = decisions.Total();
+  EXPECT_EQ(total.windows_total, report->output.size());
+  EXPECT_EQ(ScrapedTotal(*report, "windows_expedited") +
+                ScrapedTotal(*report, "windows_exact") +
+                ScrapedTotal(*report, "windows_degraded"),
+            total.windows_total);
+  EXPECT_EQ(total.tuples_seen, static_cast<std::uint64_t>(n));
+  EXPECT_EQ(ScrapedTotal(*report, "tuples_seen"), total.tuples_seen);
+  EXPECT_EQ(report->observability.spans.size(), report->output.size());
+}
+
 // The load-bearing negative: the same crash plan without checkpointing
 // must fail the run — recovery is doing real work above, not the fault
 // being cosmetic.

@@ -396,6 +396,17 @@ TEST(TopologyBuilderTest, ValidationErrors) {
     b.BatchMaxTuples(0);
     EXPECT_TRUE(b.Build().status().IsInvalid());  // batch bound 0
   }
+  for (const char* second : {"s", "source"}) {
+    // Every (stage, task) owns one metrics shard, and "source" is the
+    // source's: a repeated or reserved stage name is rejected.
+    TopologyBuilder b;
+    b.Source(std::make_shared<VectorSpout>(NumberStream(1)));
+    b.Stage("s", 1, Partitioner::Shuffle(),
+            [](int) { return std::make_unique<MapBolt>(nullptr); });
+    b.Stage(second, 1, Partitioner::Shuffle(),
+            [](int) { return std::make_unique<MapBolt>(nullptr); });
+    EXPECT_TRUE(b.Build().status().IsInvalid()) << second;
+  }
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 #include "storage/secondary_storage.h"
 
 /// The metrics-merge invariant: every counter a worker records reaches the
-/// run-level totals. Accumulate() must cover every field of its struct —
+/// run-level totals, which read the worker's exported counters.
+/// Accumulate() must cover every field of its struct —
 /// a field added to FaultStats/OverloadStats but not to Accumulate() is
 /// silently dropped from RunReport (exactly how spill_failures went
 /// missing before this suite). The sizeof static_asserts force whoever
@@ -65,6 +66,9 @@ TEST(MetricsMergeTest, OverloadStatsAccumulateCoversEveryField) {
   EXPECT_EQ(a.backpressure_wait_ns, 14);
 }
 
+// The degraded-window, shed and deadline-abort facts have no adder: the
+// manager counts them once, in its snapshotted DecisionStats, and
+// publishes them into its worker's counters. Drive them through one.
 TEST(MetricsMergeTest, EveryWorkerAdderReachesTheTotals) {
   MetricsRegistry registry;
   WorkerMetrics* w0 = registry.Register("stateful", 0);
@@ -73,29 +77,56 @@ TEST(MetricsMergeTest, EveryWorkerAdderReachesTheTotals) {
   w0->AddRetries(1);
   w0->AddRecovered(2);
   w0->AddQuarantined(3);
-  w0->AddDegradedWindows(4);
   w0->AddWorkerRestarts(5);
   w0->AddSnapshots(6);
   w0->AddSpillFailures(7);
   w1->AddSpillFailures(10);
-  w0->AddTuplesShed(8);
-  w0->AddWindowsShedLoss(9);
-  w0->AddDeadlineAborts(10);
   w0->AddBackpressureNs(11);
+
+  // Sampled mean with a 4-tuple budget at ε = 5%: every window fails the
+  // expedite test. Window [0, 100) spills to a store whose 2 ms per call
+  // outlasts the 1 ms exact deadline, so its fallback aborts and it is
+  // emitted degraded; window [100, 200) loses tuples to shedding, so it
+  // degrades without a fallback.
+  SecondaryStorage slow(StorageLatencyModel{2'000'000, 0});
+  SpearOperatorConfig config;
+  config.window = WindowSpec::TumblingTime(100);
+  config.aggregate = AggregateSpec::Mean();
+  config.accuracy = AccuracySpec{0.05, 0.95};
+  config.budget = Budget::Tuples(4);
+  config.incremental_optimization = false;
+  config.buffer_memory_capacity = 2;
+  config.exact_deadline_ms = 1;
+  SpearWindowManager manager(config, NumericField(0), nullptr, &slow,
+                             "merge-test");
+  manager.SetMetrics(w0);
+  for (int i = 0; i < 6; ++i) {
+    manager.OnTuple(10 * i, Tuple(10 * i, {Value(i * i * 10.0)}));
+  }
+  for (int i = 0; i < 6; ++i) {
+    manager.OnTuple(100 + 10 * i, Tuple(100 + 10 * i, {Value(i * 7.0)}));
+    manager.OnTupleShed(105 + 10 * i);
+  }
+  ASSERT_TRUE(manager.OnWatermark(200).ok());
+  const DecisionStats& decisions = manager.decision_stats();
+  ASSERT_EQ(decisions.windows_degraded, 2u);
+  ASSERT_EQ(decisions.deadline_aborts, 1u);
+  ASSERT_EQ(decisions.windows_shed, 1u);
+  ASSERT_EQ(decisions.tuples_shed, 6u);
 
   const FaultStats faults = registry.FaultTotals();
   EXPECT_EQ(faults.retries, 1u);
   EXPECT_EQ(faults.recovered, 2u);
   EXPECT_EQ(faults.quarantined, 3u);
-  EXPECT_EQ(faults.degraded_windows, 4u);
+  EXPECT_EQ(faults.degraded_windows, decisions.windows_degraded);
   EXPECT_EQ(faults.worker_restarts, 5u);
   EXPECT_EQ(faults.snapshots, 6u);
   EXPECT_EQ(faults.spill_failures, 17u);  // summed across workers
 
   const OverloadStats overload = registry.OverloadTotals();
-  EXPECT_EQ(overload.tuples_shed, 8u);
-  EXPECT_EQ(overload.windows_shed_loss, 9u);
-  EXPECT_EQ(overload.deadline_aborts, 10u);
+  EXPECT_EQ(overload.tuples_shed, decisions.tuples_shed);
+  EXPECT_EQ(overload.windows_shed_loss, decisions.windows_shed);
+  EXPECT_EQ(overload.deadline_aborts, decisions.deadline_aborts);
   EXPECT_EQ(overload.backpressure_wait_ns, 11);
 }
 
