@@ -85,7 +85,7 @@ int main() {
               static_cast<unsigned long long>(
                   injector.fired(FaultSite::kWorkerCrash)));
   std::printf("  worker restarts:   %llu\n",
-              static_cast<unsigned long long>(report->recoveries));
+              static_cast<unsigned long long>(report->faults.worker_restarts));
   std::printf("  snapshots taken:   %llu\n",
               static_cast<unsigned long long>(report->faults.snapshots));
 

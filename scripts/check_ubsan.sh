@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Builds the overload-control and runtime suites under
-# UndefinedBehaviorSanitizer and runs them. The shedding/watchdog paths
-# lean on lock-free arithmetic (CAS loops over doubles, clock deltas,
+# Builds the common, overload-control, runtime, recovery and obs suites
+# under UndefinedBehaviorSanitizer and runs them. The shedding/watchdog
+# paths lean on lock-free arithmetic (CAS loops over doubles, clock deltas,
 # occupancy ratios) — exactly where signed overflow or bad float-to-int
-# conversions would hide in a plain build.
+# conversions would hide in a plain build; the recovery catch-up and the
+# tracer hand-off run through the executor's stage worker.
 # Usage: scripts/check_ubsan.sh [build-dir]   (default: build-ubsan)
 set -euo pipefail
 
@@ -15,7 +16,8 @@ cmake -S "$ROOT" -B "$ROOT/$BUILD_DIR" \
   -DSPEAR_BUILD_BENCHMARKS=OFF \
   -DSPEAR_BUILD_EXAMPLES=OFF
 cmake --build "$ROOT/$BUILD_DIR" -j"$(nproc)" \
-  --target spear_common_tests spear_overload_tests spear_runtime_tests
+  --target spear_common_tests spear_overload_tests spear_runtime_tests \
+  spear_recovery_tests spear_obs_tests
 
 # -fno-sanitize-recover=all already aborts on the first report; print
 # stacks so a failure is diagnosable from CI logs alone.
@@ -23,4 +25,6 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ROOT/$BUILD_DIR/tests/spear_common_tests"
 "$ROOT/$BUILD_DIR/tests/spear_overload_tests"
 "$ROOT/$BUILD_DIR/tests/spear_runtime_tests"
-echo "UBSan: common + overload + runtime suites clean"
+"$ROOT/$BUILD_DIR/tests/spear_recovery_tests"
+"$ROOT/$BUILD_DIR/tests/spear_obs_tests"
+echo "UBSan: common + overload + runtime + recovery + obs suites clean"

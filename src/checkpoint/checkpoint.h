@@ -116,7 +116,7 @@ class FileCheckpointStore : public CheckpointStore {
   std::mutex mutex_;
 };
 
-/// \brief Checkpointing policy of a topology (Topology::checkpoint).
+/// \brief Checkpointing policy of a topology (RuntimeOptions::checkpoint).
 struct CheckpointConfig {
   /// Master switch; when false the executor runs exactly as before (no
   /// replay logging, no snapshots, no recovery — a crash fails the run).

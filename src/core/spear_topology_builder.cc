@@ -176,56 +176,9 @@ SpearTopologyBuilder& SpearTopologyBuilder::StageRetry(RetryPolicy policy) {
   return *this;
 }
 
-SpearTopologyBuilder& SpearTopologyBuilder::InjectFaults(
-    FaultInjector* injector) {
-  fault_injector_ = injector;
-  return *this;
-}
-
-SpearTopologyBuilder& SpearTopologyBuilder::Checkpoint(
-    CheckpointConfig config) {
-  config.enabled = true;
-  checkpoint_ = std::move(config);
-  return *this;
-}
-
-SpearTopologyBuilder& SpearTopologyBuilder::DeadLetterCap(std::size_t cap) {
-  max_dead_letters_ = cap;
-  return *this;
-}
-
-SpearTopologyBuilder& SpearTopologyBuilder::LatencySlo(DurationMs slo_ms) {
-  overload_.latency_slo = slo_ms;
-  return *this;
-}
-
-SpearTopologyBuilder& SpearTopologyBuilder::Shed(ShedPolicy policy) {
-  overload_.shed = policy;
-  return *this;
-}
-
 SpearTopologyBuilder& SpearTopologyBuilder::ExactDeadline(
     DurationMs deadline_ms) {
   config_.exact_deadline_ms = deadline_ms;
-  return *this;
-}
-
-SpearTopologyBuilder& SpearTopologyBuilder::WatermarkWatchdog(
-    DurationMs idle_ms) {
-  overload_.watchdog_idle = idle_ms;
-  return *this;
-}
-
-SpearTopologyBuilder& SpearTopologyBuilder::Metrics(
-    obs::MetricsOptions options) {
-  obs_.metrics_enabled = true;
-  obs_.metrics = std::move(options);
-  return *this;
-}
-
-SpearTopologyBuilder& SpearTopologyBuilder::Trace(obs::TraceOptions options) {
-  obs_.trace_enabled = true;
-  obs_.trace = options;
   return *this;
 }
 
@@ -243,12 +196,6 @@ SpearTopologyBuilder& SpearTopologyBuilder::SpillOver(
     std::size_t memory_capacity, SecondaryStorage* storage) {
   config_.buffer_memory_capacity = memory_capacity;
   storage_ = storage;
-  return *this;
-}
-
-SpearTopologyBuilder& SpearTopologyBuilder::QueueCapacity(
-    std::size_t capacity) {
-  queue_capacity_ = capacity;
   return *this;
 }
 
@@ -273,25 +220,24 @@ Result<Topology> SpearTopologyBuilder::Build() const {
     return Status::Invalid(
         "GK engine supports scalar percentiles only");
   }
-  if (checkpoint_.enabled &&
+  if (runtime_.checkpoint.enabled &&
       config_.window.type == WindowType::kCountBased) {
     return Status::Invalid(
         "checkpointing requires a time-based window (count-based "
         "coordinates do not survive a worker restart)");
   }
 
-  TopologyBuilder builder;
+  TopologyBuilder builder(runtime_);
   // Chaos wiring: perturb the stream at the source when any spout site is
   // armed; the stateful bolts are wrapped below.
+  FaultInjector* const injector = runtime_.fault_injector;
   std::shared_ptr<Spout> source = spout_;
-  if (fault_injector_ != nullptr &&
-      (fault_injector_->armed(FaultSite::kSpoutMalformed) ||
-       fault_injector_->armed(FaultSite::kSpoutDuplicate) ||
-       fault_injector_->armed(FaultSite::kSpoutLate) ||
-       fault_injector_->armed(FaultSite::kSpoutStall))) {
-    auto wrapper =
-        std::make_shared<FaultInjectingSpout>(spout_, fault_injector_);
-    if (fault_injector_->armed(FaultSite::kSpoutStall)) {
+  if (injector != nullptr && (injector->armed(FaultSite::kSpoutMalformed) ||
+                              injector->armed(FaultSite::kSpoutDuplicate) ||
+                              injector->armed(FaultSite::kSpoutLate) ||
+                              injector->armed(FaultSite::kSpoutStall))) {
+    auto wrapper = std::make_shared<FaultInjectingSpout>(spout_, injector);
+    if (injector->armed(FaultSite::kSpoutStall)) {
       // A stalled spout blocks the executor's source thread outside its
       // control; the cancel hook is how the watchdog (or a failing run)
       // unsticks it.
@@ -300,20 +246,7 @@ Result<Topology> SpearTopologyBuilder::Build() const {
     source = wrapper;
   }
   builder.Source(std::move(source), watermark_interval_, max_lateness_);
-  builder.QueueCapacity(queue_capacity_);
-  builder.InjectFaults(fault_injector_);
   builder.RegisterStorage(storage_);
-  if (checkpoint_.enabled) builder.Checkpoint(checkpoint_);
-  builder.DeadLetterCap(max_dead_letters_);
-  if (overload_.ShedEnabled()) {
-    builder.LatencySlo(overload_.latency_slo);
-    builder.Shed(overload_.shed);
-  }
-  if (overload_.WatchdogEnabled()) {
-    builder.WatermarkWatchdog(overload_.watchdog_idle);
-  }
-  if (obs_.metrics_enabled) builder.Metrics(obs_.metrics);
-  if (obs_.trace_enabled) builder.Trace(obs_.trace);
 
   if (has_time_stage_) {
     const std::size_t field = time_field_;
@@ -330,17 +263,10 @@ Result<Topology> SpearTopologyBuilder::Build() const {
 
   // Copy the configuration into the factory (each worker gets its own
   // bolt instance, as in Storm).
-  const SpearOperatorConfig config = config_;
-  const ValueExtractor value = value_extractor_;
-  const KeyExtractor key = key_extractor_;
-  SecondaryStorage* storage = storage_;
-  const ExecutionEngine engine = engine_;
-  DecisionStatsCollector* decision_sink = decision_sink_;
-  FaultInjector* injector = fault_injector_;
-
   builder.Stage(
       StatefulStageName(), parallelism_, std::move(input),
-      [config, value, key, storage, engine, decision_sink,
+      [config = config_, value = value_extractor_, key = key_extractor_,
+       storage = storage_, engine = engine_, decision_sink = decision_sink_,
        injector](int) -> std::unique_ptr<Bolt> {
         std::unique_ptr<Bolt> bolt;
         switch (engine) {

@@ -39,8 +39,10 @@ enum class ExecutionEngine {
 
 const char* ExecutionEngineName(ExecutionEngine engine);
 
-/// \brief Fluent CQ definition with SPEAr's budget/error extensions.
-class SpearTopologyBuilder {
+/// \brief Fluent CQ definition with SPEAr's budget/error extensions. The
+/// runtime knobs (queues, faults, checkpoints, shedding, metrics) are
+/// RuntimeKnobs, shared with TopologyBuilder.
+class SpearTopologyBuilder : public RuntimeKnobs<SpearTopologyBuilder> {
  public:
   /// Sets the input stream and its watermarking policy.
   SpearTopologyBuilder& Source(std::shared_ptr<Spout> spout,
@@ -108,56 +110,10 @@ class SpearTopologyBuilder {
   /// (executor-level supervision).
   SpearTopologyBuilder& StageRetry(RetryPolicy policy);
 
-  /// Chaos testing: wires `injector` into the compiled plan — the spout
-  /// and stateful bolts are wrapped with the fault-injecting decorators
-  /// for whichever sites the plan arms, and the storage (when registered
-  /// via SpillOver) should be given the same injector by the caller.
-  SpearTopologyBuilder& InjectFaults(FaultInjector* injector);
-
-  /// Enables checkpoint/restore and crash recovery (Topology::checkpoint):
-  /// stateful workers snapshot their O(b) budget state every
-  /// `config.interval` ms of watermark progress and are restarted from the
-  /// latest snapshot on a crash, with replay-gap loss folded into ε̂_w.
-  /// Requires a time-based window (count-based coordinates are assigned
-  /// from a per-worker sequence that does not survive a restart) and a
-  /// replayable source spout.
-  SpearTopologyBuilder& Checkpoint(CheckpointConfig config);
-
-  /// Caps retained dead-letter/suppressed-error entries (see
-  /// Topology::max_dead_letters; default 1024).
-  SpearTopologyBuilder& DeadLetterCap(std::size_t cap);
-
-  // ---- overload control ---------------------------------------------------
-  /// Arms accuracy-aware load shedding against a per-window latency SLO
-  /// (ms): every stage gets an OverloadDetector and the SPEAr bolts shed
-  /// admissions while tripped, folding the shed ratio into ε̂_w exactly
-  /// like recovery loss (windows past ε emit degraded).
-  SpearTopologyBuilder& LatencySlo(DurationMs slo_ms);
-
-  /// Replaces the shed policy (only effective with LatencySlo).
-  SpearTopologyBuilder& Shed(ShedPolicy policy);
-
   /// Deadline budget (ms) for one window's exact fallback: past it the
   /// fallback is aborted cooperatively and the window is emitted from its
   /// budget state with degraded=true (0 = unbounded, the default).
   SpearTopologyBuilder& ExactDeadline(DurationMs deadline_ms);
-
-  /// Arms the watermark watchdog: a source idle for `idle_ms` with empty
-  /// stage-0 queues is declared stalled and the stream is closed
-  /// abnormally (open windows emit degraded instead of hanging the DAG).
-  SpearTopologyBuilder& WatermarkWatchdog(DurationMs idle_ms);
-
-  // ---- observability ------------------------------------------------------
-  /// Exports the run's counters: a final scrape in
-  /// RunReport::observability, plus an optional periodic sampler via
-  /// `options`. The counters themselves are always kept (they back the
-  /// RunReport totals); this only decides whether they are exported.
-  SpearTopologyBuilder& Metrics(obs::MetricsOptions options = {});
-
-  /// Enables per-window TraceSpan recording of the full SPEAr decision
-  /// lineage (arrivals, budget, ε̂_w terms, verdict; see obs/trace.h).
-  /// Off by default; `options` controls sampling and the per-worker cap.
-  SpearTopologyBuilder& Trace(obs::TraceOptions options = {});
 
   // ---- execution configuration ------------------------------------------
   SpearTopologyBuilder& Engine(ExecutionEngine engine);
@@ -165,7 +121,6 @@ class SpearTopologyBuilder {
   /// Worker raw-buffer capacity in tuples before spilling to `storage`.
   SpearTopologyBuilder& SpillOver(std::size_t memory_capacity,
                                   SecondaryStorage* storage);
-  SpearTopologyBuilder& QueueCapacity(std::size_t capacity);
 
   /// Name of the stateful stage in metrics ("stateful").
   static const char* StatefulStageName() { return "stateful"; }
@@ -189,14 +144,8 @@ class SpearTopologyBuilder {
   ExecutionEngine engine_ = ExecutionEngine::kSpear;
   int parallelism_ = 1;
   SecondaryStorage* storage_ = nullptr;
-  std::size_t queue_capacity_ = 1024;
   DecisionStatsCollector* decision_sink_ = nullptr;
   RetryPolicy stage_retry_ = RetryPolicy::None();
-  FaultInjector* fault_injector_ = nullptr;
-  CheckpointConfig checkpoint_;
-  std::size_t max_dead_letters_ = 1024;
-  OverloadConfig overload_;
-  obs::ObsConfig obs_;
 };
 
 }  // namespace spear

@@ -34,7 +34,7 @@ struct MetricsOptions {
   std::function<void(const std::string&)> sink;
 };
 
-/// Topology observability config (Topology::obs). Export and tracing
+/// Topology observability config (RuntimeOptions::obs). Export and tracing
 /// default off; `.Metrics()`/`.Trace()` flip them on.
 struct ObsConfig {
   bool metrics_enabled = false;

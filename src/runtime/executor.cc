@@ -20,9 +20,10 @@
 #include "window/watermark.h"
 
 namespace spear {
+namespace {
 
 /// One item on an inter-stage channel.
-struct Executor::Element {
+struct Element {
   enum class Kind : std::uint8_t { kTuple, kWatermark, kFlush, kAnomaly };
 
   Kind kind = Kind::kTuple;
@@ -30,40 +31,21 @@ struct Executor::Element {
   Timestamp watermark = kMinTimestamp;
   Tuple tuple;
 
-  static Element MakeTuple(Tuple t, int from) {
+  /// A control element from channel `from`: a watermark, the flush that
+  /// ends the channel, or a delivery anomaly (the stream was closed
+  /// abnormally upstream, e.g. a stalled source given up on by the
+  /// watchdog; an unknown suffix of the input may never arrive).
+  static Element Control(Kind kind, int from, Timestamp wm = kMinTimestamp) {
     Element e;
-    e.kind = Kind::kTuple;
-    e.from_channel = from;
-    e.tuple = std::move(t);
-    return e;
-  }
-  static Element MakeWatermark(Timestamp wm, int from) {
-    Element e;
-    e.kind = Kind::kWatermark;
+    e.kind = kind;
     e.from_channel = from;
     e.watermark = wm;
     return e;
   }
-  static Element MakeFlush(int from) {
-    Element e;
-    e.kind = Kind::kFlush;
-    e.from_channel = from;
-    return e;
-  }
-  /// Delivery anomaly: the stream was closed abnormally upstream (e.g. a
-  /// stalled source given up on by the watermark watchdog); an unknown
-  /// suffix of the input may never arrive.
-  static Element MakeAnomaly(int from) {
-    Element e;
-    e.kind = Kind::kAnomaly;
-    e.from_channel = from;
-    return e;
-  }
 };
 
-namespace {
-
-using ElementQueue = BlockingQueue<Executor::Element>;
+using Kind = Element::Kind;
+using ElementQueue = BlockingQueue<Element>;
 
 /// Converts whatever a bolt callback throws into a Status of `code`.
 /// Bolts are supposed to be exception-free (the Status idiom), but a
@@ -90,11 +72,13 @@ Status GuardedBoltCall(StatusCode code, const char* what, Fn&& fn) {
 /// before the crash. The seen set is cleared after every successful
 /// snapshot: windows emitted before a snapshot are no longer part of any
 /// restorable state, so they can never re-emit. The worker's tracer, if
-/// any, applies the same first-wins rule to its spans.
+/// any, applies the same first-wins rule to its spans, and the worker's
+/// window-time and memory samples pause while armed.
 class WindowDedupEmitter : public Emitter {
  public:
-  WindowDedupEmitter(Emitter* inner, obs::WindowTracer* tracer)
-      : inner_(inner), tracer_(tracer) {}
+  WindowDedupEmitter(Emitter* inner, obs::WindowTracer* tracer,
+                     WorkerMetrics* metrics)
+      : inner_(inner), tracer_(tracer), metrics_(metrics) {}
 
   void Emit(Tuple tuple) override {
     std::string key;
@@ -105,8 +89,13 @@ class WindowDedupEmitter : public Emitter {
     inner_->Emit(std::move(tuple));
   }
 
-  void Arm() { SetArmed(true); }
-  void Disarm() { SetArmed(false); }
+  /// Brackets a recovery catch-up: suppress re-emitted windows.
+  void SetArmed(bool armed) {
+    armed_ = armed;
+    if (tracer_ != nullptr) tracer_->SetReplaying(armed);
+    metrics_->PauseSamples(armed);
+  }
+
   void ClearSeen() {
     seen_.clear();
     if (tracer_ != nullptr) tracer_->ForgetWindows();
@@ -127,18 +116,12 @@ class WindowDedupEmitter : public Emitter {
     return true;
   }
 
-  void SetArmed(bool armed) {
-    armed_ = armed;
-    if (tracer_ != nullptr) tracer_->SetReplaying(armed);
-  }
-
   Emitter* inner_;
   obs::WindowTracer* tracer_;
+  WorkerMetrics* metrics_;
   bool armed_ = false;
   std::unordered_set<std::string> seen_;
 };
-
-}  // namespace
 
 /// Routes a worker's emissions to the next stage (or the output sink).
 ///
@@ -150,7 +133,7 @@ class WindowDedupEmitter : public Emitter {
 /// reordered across a control element on their channel and never held back
 /// while the pipeline idles. Per-channel FIFO order is preserved exactly:
 /// batching only changes how many queue operations carry it.
-class Executor::StageEmitter : public Emitter {
+class StageEmitter : public Emitter {
  public:
   StageEmitter(int my_task, const Partitioner* next_partitioner,
                std::vector<ElementQueue*> next_queues, std::size_t batch_max,
@@ -204,8 +187,6 @@ class Executor::StageEmitter : public Emitter {
     next_queues_[n - 1]->PushControl(std::move(element));  // ...which moves
   }
 
-  bool HasDownstream() const { return !next_queues_.empty(); }
-
   /// Adds the tuples emitted since the last call to the worker's
   /// tuples_out: once per popped batch or source pull, not per tuple.
   void PublishEmitted() {
@@ -238,112 +219,65 @@ class Executor::StageEmitter : public Emitter {
   std::uint64_t emitted_ = 0;
 };
 
-Result<RunReport> Executor::Run() {
-  const std::size_t num_stages = topology_.stages.size();
-  const std::size_t batch_max =
-      std::max<std::size_t>(topology_.batch_max_tuples, 1);
-
-  RunReport report;
-
-  // Re-arm the storages' simulated latency (a previous cancelled run may
-  // have tripped their stop flag).
-  for (SecondaryStorage* s : topology_.storages) s->ResetSimulatedLatency();
-
-  // Checkpoint/recovery wiring. A run-private in-memory store is enough
-  // for in-process worker restarts; an external store (file-backed) only
-  // matters when the caller wants snapshots to outlive the process.
-  const CheckpointConfig& ckpt = topology_.checkpoint;
-  std::unique_ptr<InMemoryCheckpointStore> private_store;
-  CheckpointStore* ckpt_store = ckpt.store;
-  if (ckpt.enabled && ckpt_store == nullptr) {
-    private_store = std::make_unique<InMemoryCheckpointStore>();
-    ckpt_store = private_store.get();
-  }
-  // Source replay offset at the last completed NextBatch, recorded into
-  // snapshot headers (advisory: in-process recovery replays from the
-  // per-worker log; the offset lets an external driver re-seek a
-  // re-created source after a full-process restart).
-  std::atomic<std::uint64_t> source_offset{0};
-
-  // --- Overload-control wiring -------------------------------------------
-  // One detector per stage when a latency SLO is armed; bolts honoring
-  // BoltContext::overload (SpearBolt) shed admissions while it is tripped.
-  std::vector<std::unique_ptr<OverloadDetector>> detectors(num_stages);
-  if (topology_.overload.ShedEnabled()) {
-    for (std::size_t i = 0; i < num_stages; ++i) {
-      detectors[i] = std::make_unique<OverloadDetector>(
-          topology_.stages[i].name, topology_.overload);
+/// What the units of one run share: the channels, the failure state, the
+/// dead-letter admission and the source's signals. Built single-threaded
+/// by Executor::Run before any unit starts.
+struct RunState {
+  explicit RunState(const Topology& plan)
+      : topology(plan),
+        options(plan.runtime),
+        batch_max(std::max<std::size_t>(plan.runtime.batch_max_tuples, 1)),
+        queues(plan.stages.size()),
+        detectors(plan.stages.size()),
+        checkpoint_store(plan.runtime.checkpoint.store) {
+    for (std::size_t i = 0; i < plan.stages.size(); ++i) {
+      for (int t = 0; t < plan.stages[i].parallelism; ++t) {
+        queues[i].push_back(
+            std::make_unique<ElementQueue>(options.queue_capacity));
+      }
+      // One detector per stage when a latency SLO is armed; bolts honoring
+      // BoltContext::overload (SpearBolt) shed admissions while it is
+      // tripped.
+      if (options.overload.ShedEnabled()) {
+        detectors[i] = std::make_unique<OverloadDetector>(plan.stages[i].name,
+                                                          options.overload);
+      }
+    }
+    // A run-private in-memory store is enough for in-process worker
+    // restarts; an external store (file-backed) only matters when the
+    // caller wants snapshots to outlive the process.
+    if (options.checkpoint.enabled && checkpoint_store == nullptr) {
+      private_store = std::make_unique<InMemoryCheckpointStore>();
+      checkpoint_store = private_store.get();
     }
   }
-  // --- Observability wiring ----------------------------------------------
-  // Every worker counts into its shard of report.metrics, always;
-  // `.Metrics()` only adds the sampler and the final scrape into
-  // report.observability. Tracers exist only with `.Trace()`. Both are
-  // created here (single-threaded) so workers never contend on
-  // registration.
-  const obs::ObsConfig& obs_cfg = topology_.obs;
-  std::vector<std::unique_ptr<obs::WindowTracer>> tracers;
-  obs::PeriodicSampler sampler(
-      obs_cfg.metrics_enabled ? &report.metrics.exported() : nullptr,
-      obs_cfg.metrics);
+  RunState(const RunState&) = delete;
+  RunState& operator=(const RunState&) = delete;
 
-  // The source counts like a worker, under stage "source".
-  WorkerMetrics* const source_metrics = report.metrics.Register("source", 0);
-  // Source-side signals read by workers (watermark lag) and the watchdog
-  // (stall detection).
-  std::atomic<Timestamp> source_wm{kMinTimestamp};
-  std::atomic<std::uint64_t> source_progress{0};
-  // Whoever CASes this false->true owns the stream close (final watermark
-  // + flush): the source thread at end-of-stream, or the watchdog when it
-  // declares the source stalled. Exactly one of them broadcasts.
-  std::atomic<bool> source_closed{false};
-  std::atomic<std::uint64_t> watchdog_advances{0};
-  std::atomic<bool> watchdog_stop{false};
-
-  // Dead-letter retention cap, shared across workers (admission counter);
-  // the overflow is counted, not retained.
-  const std::size_t max_dead_letters = topology_.max_dead_letters;
-  std::atomic<std::uint64_t> dead_letters_admitted{0};
-  std::atomic<std::uint64_t> dropped_dead_letters{0};
-
-  // --- Wiring (single-threaded setup) ------------------------------------
-  // queues[i][t]: input queue of stage i, task t.
-  std::vector<std::vector<std::unique_ptr<ElementQueue>>> queues(num_stages);
-  for (std::size_t i = 0; i < num_stages; ++i) {
-    const int p = topology_.stages[i].parallelism;
-    for (int t = 0; t < p; ++t) {
-      queues[i].push_back(
-          std::make_unique<ElementQueue>(topology_.queue_capacity));
+  /// An emitter of `task` into stage `next`'s queues, or past the last
+  /// stage into `sink`.
+  StageEmitter EmitterTo(std::size_t next, int task, WorkerMetrics* metrics,
+                         std::vector<Tuple>* sink = nullptr) const {
+    if (next == queues.size()) {
+      return StageEmitter(task, nullptr, {}, batch_max, metrics, sink);
     }
+    std::vector<ElementQueue*> next_queues;
+    for (const auto& q : queues[next]) next_queues.push_back(q.get());
+    return StageEmitter(task, &topology.stages[next].input_partitioner,
+                        std::move(next_queues), batch_max, metrics, sink);
   }
 
-  // One private output vector per sink-stage worker, merged after join in
-  // task order (no cross-worker ordering is promised, with or without the
-  // merge — per-worker order is what stays deterministic). Dead letters
-  // follow the same pattern across every stage's workers.
-  std::vector<std::vector<Tuple>> sink_outputs(
-      static_cast<std::size_t>(topology_.stages[num_stages - 1].parallelism));
-  std::size_t total_workers = 0;
-  for (const StageSpec& s : topology_.stages) {
-    total_workers += static_cast<std::size_t>(s.parallelism);
-  }
-  std::vector<std::vector<DeadLetter>> worker_dead_letters(total_workers);
-
-  std::mutex error_mutex;
-  Status first_error = Status::OK();
-  std::vector<Status> suppressed_errors;
-  std::atomic<bool> failed{false};
-
-  // Keeps the *first* error deterministically; later distinct errors are
-  // appended to the suppressed list (duplicates dropped) so multi-worker
-  // failures stay debuggable instead of silently losing all but one.
-  auto record_error = [&](const Status& status) {
+  /// Keeps the *first* error deterministically; later distinct errors are
+  /// appended to the suppressed list (duplicates dropped) so multi-worker
+  /// failures stay debuggable instead of silently losing all but one.
+  /// Then cancels the run.
+  void Fail(const Status& status) {
     {
       std::lock_guard<std::mutex> lock(error_mutex);
       bool expected = false;
       if (failed.compare_exchange_strong(expected, true)) {
         first_error = status;
-      } else if (suppressed_errors.size() < max_dead_letters &&
+      } else if (suppressed_errors.size() < options.max_dead_letters &&
                  !(status == first_error) &&
                  std::find(suppressed_errors.begin(), suppressed_errors.end(),
                            status) == suppressed_errors.end()) {
@@ -357,607 +291,646 @@ Result<RunReport> Executor::Run() {
     for (auto& stage_queues : queues) {
       for (auto& q : stage_queues) q->Close();
     }
-    for (SecondaryStorage* s : topology_.storages) s->CancelSimulatedLatency();
-    for (const auto& hook : topology_.cancel_hooks) hook();
-  };
-
-  auto queues_of_stage = [&](std::size_t i) {
-    std::vector<ElementQueue*> out;
-    for (auto& q : queues[i]) out.push_back(q.get());
-    return out;
-  };
-
-  // --- Worker threads -----------------------------------------------------
-  std::vector<std::thread> threads;
-  threads.reserve(1 + total_workers);
-
-  std::size_t worker_index = 0;
-  for (std::size_t i = 0; i < num_stages; ++i) {
-    const StageSpec& stage = topology_.stages[i];
-    const Partitioner* next_partitioner =
-        i + 1 < num_stages ? &topology_.stages[i + 1].input_partitioner
-                           : nullptr;
-
-    for (int task = 0; task < stage.parallelism; ++task) {
-      WorkerMetrics* metrics = report.metrics.Register(stage.name, task);
-      obs::WindowTracer* tracer = nullptr;
-      if (obs_cfg.trace_enabled) {
-        tracers.push_back(
-            std::make_unique<obs::WindowTracer>(obs_cfg.trace, ckpt.enabled));
-        tracer = tracers.back().get();
-      }
-      ElementQueue* in_queue = queues[i][static_cast<std::size_t>(task)].get();
-      std::vector<ElementQueue*> next_queues =
-          i + 1 < num_stages ? queues_of_stage(i + 1)
-                             : std::vector<ElementQueue*>{};
-      std::vector<Tuple>* sink_output =
-          i + 1 == num_stages ? &sink_outputs[static_cast<std::size_t>(task)]
-                              : nullptr;
-      std::vector<DeadLetter>* dead_letters =
-          &worker_dead_letters[worker_index++];
-
-      threads.emplace_back([&, i, task, metrics, in_queue, next_partitioner,
-                            sink_output, dead_letters, tracer,
-                            next_queues = std::move(next_queues)]() mutable {
-        const StageSpec& my_stage = topology_.stages[i];
-        metrics->Set(WorkerMetrics::kQueueCapacity, in_queue->capacity());
-        StageEmitter emitter(task, next_partitioner, std::move(next_queues),
-                             batch_max, metrics, sink_output);
-
-        std::unique_ptr<Bolt> bolt = my_stage.bolt_factory(task);
-        if (bolt == nullptr) {
-          record_error(Status::Internal("stage '" + my_stage.name +
-                                        "' factory returned null bolt"));
-          return;
-        }
-        OverloadDetector* const detector = detectors[i].get();
-        BoltContext ctx;
-        ctx.task_id = task;
-        ctx.parallelism = my_stage.parallelism;
-        ctx.metrics = metrics;
-        ctx.overload = detector;
-        ctx.tracer = tracer;
-        if (Status s = GuardedBoltCall(
-                StatusCode::kInternal, "bolt prepare",
-                [&] { return bolt->Prepare(ctx); });
-            !s.ok()) {
-          record_error(s);
-          return;
-        }
-
-        // Deterministic per-worker jitter stream for retry backoff.
-        const std::uint64_t retry_seed =
-            (static_cast<std::uint64_t>(i) << 32) ^
-            static_cast<std::uint64_t>(task) ^ 0x5EA45EA4ULL;
-
-        // --- Checkpoint/recovery state (inert when checkpointing is off:
-        // cp stays null, no logging, no snapshots, no dedup hashing) ----
-        Checkpointable* cp = ckpt.enabled ? bolt->checkpointable() : nullptr;
-        const bool log_replay = cp != nullptr;
-        WindowDedupEmitter dedup(&emitter, tracer);
-        Emitter* const bolt_out =
-            log_replay ? static_cast<Emitter*>(&dedup) : &emitter;
-        std::deque<Tuple> replay_log;
-        std::uint64_t consumed_since_snapshot = 0;
-        Timestamp last_snapshot_wm = kMinTimestamp;
-        std::uint64_t snapshot_seq = 0;
-        int restarts = 0;
-
-        const int channels = i == 0 ? 1 : topology_.stages[i - 1].parallelism;
-        std::vector<Timestamp> channel_wm(
-            static_cast<std::size_t>(channels), kMinTimestamp);
-        std::vector<bool> channel_flushed(
-            static_cast<std::size_t>(channels), false);
-        int flushed_count = 0;
-        Timestamp local_wm = kMinTimestamp;
-        bool anomaly_seen = false;
-
-        // Tears a failed bolt down and rebuilds it in place: fresh
-        // instance, state restored from the latest valid snapshot, replay
-        // log re-fed, windows re-closed up to the worker's watermark with
-        // duplicate results suppressed. Returns OK when the worker may
-        // keep consuming; otherwise the error that cancels the run.
-        auto attempt_recovery = [&](const Status& cause) -> Status {
-          if (!ckpt.enabled || failed.load(std::memory_order_relaxed)) {
-            return cause;
-          }
-          if (restarts >= ckpt.max_recoveries_per_worker) {
-            return Status(cause.code(),
-                          "worker recovery budget exhausted after " +
-                              std::to_string(restarts) +
-                              " restarts: " + cause.message());
-          }
-          ++restarts;
-          metrics->AddWorkerRestarts(1);
-          bolt = my_stage.bolt_factory(task);
-          if (bolt == nullptr) {
-            return Status::Internal("stage '" + my_stage.name +
-                                    "' factory returned null bolt during "
-                                    "recovery");
-          }
-          if (Status s = GuardedBoltCall(
-                  StatusCode::kInternal, "bolt prepare (recovery)",
-                  [&] { return bolt->Prepare(ctx); });
-              !s.ok()) {
-            return s;
-          }
-          cp = bolt->checkpointable();
-          if (cp == nullptr) return Status::OK();  // stateless: fresh bolt
-
-          // kNotFound = crash before the first snapshot: start from fresh
-          // state, the whole replay log re-feeds it.
-          Result<CheckpointSnapshot> snap =
-              ckpt_store->Latest(my_stage.name, task);
-          if (snap.ok()) {
-            if (Status s = cp->RestoreState(snap->payload); !s.ok()) {
-              return s;
-            }
-          } else if (!snap.status().IsNotFound()) {
-            return snap.status();
-          }
-          // Catch back up. The dedup emitter is armed so windows that
-          // were already delivered before the crash are suppressed —
-          // downstream sees every window result at most once.
-          dedup.Arm();
-          Status catch_up = Status::OK();
-          for (const Tuple& logged : replay_log) {
-            Status es = GuardedBoltCall(
-                StatusCode::kInvalidArgument, "bolt execute (replay)",
-                [&] { return bolt->Execute(logged, bolt_out); });
-            if (!es.ok() && ClassifyFailure(es) == FailureClass::kFatal) {
-              catch_up = es;
-              break;
-            }
-            // Transient/data replay failures: the tuple was already
-            // retried or quarantined on first delivery; skip it here.
-          }
-          if (catch_up.ok() && local_wm != kMinTimestamp) {
-            catch_up = GuardedBoltCall(
-                StatusCode::kInternal, "bolt watermark (recovery)",
-                [&] { return bolt->OnWatermark(local_wm, bolt_out); });
-            if (catch_up.ok() && emitter.HasDownstream()) {
-              // Downstream alignment is max-based per channel, so
-              // re-announcing the same watermark is idempotent.
-              emitter.Broadcast(Element::MakeWatermark(local_wm, task));
-            }
-          }
-          dedup.Disarm();
-          // Tuples consumed since the snapshot that fell off the bounded
-          // log are unrecoverable; fold them into the affected windows'
-          // error estimates instead of silently ignoring them. This must
-          // happen AFTER the catch-up: during replay the "next window
-          // that opens" is an already-delivered one whose re-emission the
-          // dedup suppresses, so loss noted before replay could vanish
-          // from the output. Noted here, it lands on the windows still
-          // active across the crash (or the next genuinely new window).
-          if (catch_up.ok() && consumed_since_snapshot > replay_log.size()) {
-            cp->NoteRecoveryLoss(consumed_since_snapshot -
-                                 replay_log.size());
-          }
-          return catch_up;
-        };
-
-        std::vector<Element> batch;
-        batch.reserve(batch_max);
-        std::uint32_t gauge_tick = 0;
-
-        while (!failed.load(std::memory_order_relaxed)) {
-          batch.clear();
-          if (in_queue->TryPopAll(&batch, batch_max) == 0) {
-            // About to sleep: hand any buffered output downstream first so
-            // a starved consumer is never waiting on tuples we hold.
-            emitter.FlushAll();
-            if (in_queue->PopAll(&batch, batch_max) == 0) {
-              break;  // closed (cancelled run)
-            }
-          }
-          if (detector != nullptr) {
-            // Occupancy at pop time (the popped batch counts): observed
-            // before the batch is processed, so admission already sees the
-            // ramped shed probability for these very tuples.
-            detector->ObserveQueue(in_queue->size() + batch.size(),
-                                   in_queue->capacity());
-          }
-          // Decimated 64x: a gauge is a point-in-time sample scraped at
-          // ms-scale, while in_queue->size() takes the queue mutex — a
-          // per-batch update would double lock traffic at batch size 1.
-          if ((gauge_tick++ & 63u) == 0) {
-            metrics->Set(WorkerMetrics::kQueueDepth,
-                         in_queue->size() + batch.size());
-            if (detector != nullptr) {
-              metrics->Set(WorkerMetrics::kShedProbability,
-                           detector->shed_probability());
-            }
-          }
-
-          // Drain the popped batch locally; metrics updates are batched —
-          // one timer read pair and one tuples in/out and busy-time add
-          // per popped batch instead of per tuple.
-          std::uint64_t batch_tuples = 0;
-          std::int64_t batch_busy = 0;
-          Status status = Status::OK();
-          bool finished = false;
-
-          {
-            ScopedTimerNs timer(&batch_busy);
-            for (Element& element : batch) {
-              switch (element.kind) {
-                case Element::Kind::kTuple: {
-                  ++batch_tuples;
-                  // Crash site: consulted in every worker whenever an
-                  // injector arms it, so a fired crash with checkpointing
-                  // disabled fails the run — the recovery subsystem is
-                  // load-bearing, not decorative.
-                  if (topology_.fault_injector != nullptr &&
-                      topology_.fault_injector->armed(
-                          FaultSite::kWorkerCrash) &&
-                      topology_.fault_injector->Tick(FaultSite::kWorkerCrash)
-                          .fire) {
-                    status = attempt_recovery(Status::Internal(
-                        "injected fault: worker crash at stage '" +
-                        my_stage.name + "' task " + std::to_string(task)));
-                    if (!status.ok()) break;
-                    // Recovered; the crash hit before this tuple was
-                    // consumed, so it now processes normally.
-                  }
-                  if (log_replay) {
-                    if (replay_log.size() >= ckpt.max_replay_tuples) {
-                      replay_log.pop_front();  // oldest tuple becomes loss
-                    }
-                    replay_log.push_back(element.tuple);
-                    ++consumed_since_snapshot;
-                  }
-                  // Supervised delivery: a thrown exception is a data
-                  // error (confined to this tuple); transient failures
-                  // are retried under the stage policy; what still fails
-                  // non-transiently is quarantined, not fatal.
-                  status = GuardedBoltCall(
-                      StatusCode::kInvalidArgument, "bolt execute",
-                      [&] { return bolt->Execute(element.tuple, bolt_out); });
-                  int attempts = 1;
-                  if (!status.ok() && my_stage.retry.enabled()) {
-                    Backoff backoff(my_stage.retry, retry_seed);
-                    std::int64_t delay_ns = 0;
-                    while (!status.ok() &&
-                           ClassifyFailure(status) ==
-                               FailureClass::kTransient &&
-                           !failed.load(std::memory_order_relaxed) &&
-                           backoff.NextDelay(&delay_ns)) {
-                      BackoffSleep(delay_ns, &failed);
-                      metrics->AddRetries(1);
-                      ++attempts;
-                      status = GuardedBoltCall(
-                          StatusCode::kInvalidArgument, "bolt execute",
-                          [&] {
-                            return bolt->Execute(element.tuple, bolt_out);
-                          });
-                      if (status.ok()) metrics->AddRecovered(1);
-                    }
-                  }
-                  if (!status.ok() &&
-                      ClassifyFailure(status) == FailureClass::kData) {
-                    if (dead_letters_admitted.fetch_add(
-                            1, std::memory_order_relaxed) <
-                        max_dead_letters) {
-                      dead_letters->push_back(
-                          DeadLetter{my_stage.name, task, attempts, status,
-                                     std::move(element.tuple)});
-                    } else {
-                      dropped_dead_letters.fetch_add(
-                          1, std::memory_order_relaxed);
-                    }
-                    metrics->AddQuarantined(1);
-                    status = Status::OK();  // the run goes on
-                  }
-                  if (!status.ok()) {
-                    // Fatal or retry-exhausted: last resort is a restart
-                    // from the checkpoint (the failing tuple is in the
-                    // replay log; a deterministic failure exhausts the
-                    // recovery budget and then cancels the run).
-                    status = attempt_recovery(status);
-                  }
-                  break;
-                }
-                case Element::Kind::kWatermark: {
-                  auto& ch = channel_wm[static_cast<std::size_t>(
-                      element.from_channel)];
-                  ch = std::max(ch, element.watermark);
-                  const Timestamp aligned =
-                      *std::min_element(channel_wm.begin(), channel_wm.end());
-                  if (aligned > local_wm) {
-                    local_wm = aligned;
-                    if (detector != nullptr &&
-                        local_wm != WatermarkGenerator::FinalWatermark()) {
-                      // How far this stage's aligned watermark trails the
-                      // source's: a healthy (zero-lag) observation decays
-                      // the shed probability, a laggy one ratchets it.
-                      const Timestamp src =
-                          source_wm.load(std::memory_order_relaxed);
-                      if (src != kMinTimestamp &&
-                          src != WatermarkGenerator::FinalWatermark()) {
-                        detector->ObserveWatermarkLag(
-                            src > local_wm ? src - local_wm : 0);
-                      }
-                    }
-                    // Watermark work is not idempotent (window state
-                    // advances), so it is guarded but never retried; an
-                    // escaped exception here is recovered from the
-                    // checkpoint when enabled, fatal otherwise.
-                    status = GuardedBoltCall(
-                        StatusCode::kInternal, "bolt watermark", [&] {
-                          return bolt->OnWatermark(local_wm, bolt_out);
-                        });
-                    if (status.ok()) {
-                      if (emitter.HasDownstream()) {
-                        emitter.Broadcast(
-                            Element::MakeWatermark(local_wm, task));
-                      }
-                      if (log_replay && cp != nullptr &&
-                          local_wm != WatermarkGenerator::FinalWatermark() &&
-                          (last_snapshot_wm == kMinTimestamp ||
-                           local_wm - last_snapshot_wm >=
-                               static_cast<Timestamp>(ckpt.interval))) {
-                        // Snapshot right after emission: just-closed
-                        // windows are out of the state, so the payload is
-                        // O(b) in the open windows' budgets.
-                        Result<std::string> payload = cp->SnapshotState();
-                        if (payload.ok()) {
-                          CheckpointSnapshot snapshot;
-                          snapshot.stage = my_stage.name;
-                          snapshot.task = task;
-                          snapshot.sequence = snapshot_seq++;
-                          snapshot.watermark = local_wm;
-                          snapshot.source_offset =
-                              source_offset.load(std::memory_order_relaxed);
-                          snapshot.payload = std::move(*payload);
-                          if (ckpt_store->Put(snapshot).ok()) {
-                            last_snapshot_wm = local_wm;
-                            replay_log.clear();
-                            consumed_since_snapshot = 0;
-                            // Windows emitted up to here are in no
-                            // restorable state anymore, so they can never
-                            // re-emit: forget their keys.
-                            dedup.ClearSeen();
-                            metrics->AddSnapshots(1, snapshot.payload.size());
-                          }
-                          // A failed Put leaves the previous snapshot
-                          // (and the longer replay log) in charge — the
-                          // run itself is unaffected.
-                        }
-                      }
-                    } else {
-                      // Recovery re-runs the catch-up watermark and
-                      // broadcasts it itself.
-                      status = attempt_recovery(status);
-                    }
-                  }
-                  break;
-                }
-                case Element::Kind::kAnomaly: {
-                  // Deliver once per worker (each upstream task forwards
-                  // its own copy), then propagate so every downstream
-                  // stage learns the stream was cut short before its
-                  // final watermark arrives.
-                  if (!anomaly_seen) {
-                    anomaly_seen = true;
-                    status = GuardedBoltCall(
-                        StatusCode::kInternal, "bolt delivery anomaly",
-                        [&] { return bolt->OnDeliveryAnomaly(bolt_out); });
-                    if (status.ok() && emitter.HasDownstream()) {
-                      emitter.Broadcast(Element::MakeAnomaly(task));
-                    }
-                  }
-                  break;
-                }
-                case Element::Kind::kFlush: {
-                  auto flushed_flag = channel_flushed.begin() +
-                                      element.from_channel;
-                  if (!*flushed_flag) {
-                    *flushed_flag = true;
-                    ++flushed_count;
-                  }
-                  if (flushed_count == channels) {
-                    status = GuardedBoltCall(
-                        StatusCode::kInternal, "bolt finish",
-                        [&] { return bolt->Finish(bolt_out); });
-                    if (status.ok()) {
-                      if (emitter.HasDownstream()) {
-                        emitter.Broadcast(Element::MakeFlush(task));
-                      }
-                      finished = true;  // every upstream channel is done
-                    }
-                  }
-                  break;
-                }
-              }
-              if (!status.ok() || finished) break;
-            }
-          }
-
-          metrics->AddTuplesIn(batch_tuples);
-          metrics->AddBusyNs(batch_busy);
-          emitter.PublishEmitted();
-          if (!status.ok()) {
-            record_error(status);
-            return;
-          }
-          if (finished) return;  // worker done
-        }
-      });
-    }
+    for (SecondaryStorage* s : topology.storages) s->CancelSimulatedLatency();
+    RunCancelHooks();
   }
 
-  // --- Source thread ------------------------------------------------------
-  threads.emplace_back([&]() {
-    StageEmitter emitter(0, &topology_.stages[0].input_partitioner,
-                         queues_of_stage(0), batch_max, source_metrics,
-                         nullptr);
-    ReplayableSpout* const replay_source =
-        topology_.source.spout->replayable();
-    // With interval <= 0 the generator is never consulted: only the final
-    // end-of-stream watermark fires.
-    WatermarkGenerator generator(
-        std::max<DurationMs>(topology_.source.watermark_interval, 1),
-        topology_.source.max_lateness);
-
-    std::vector<Tuple> pulled;
-    pulled.reserve(batch_max);
-    bool more = true;
-    while (more && !failed.load(std::memory_order_relaxed) &&
-           !source_closed.load(std::memory_order_acquire)) {
-      pulled.clear();
-      more = topology_.source.spout->NextBatch(&pulled, batch_max);
-      source_progress.fetch_add(1, std::memory_order_relaxed);
-      if (replay_source != nullptr) {
-        source_offset.store(replay_source->ReplayOffset(),
-                            std::memory_order_relaxed);
-      }
-      for (Tuple& tuple : pulled) {
-        // Re-check per tuple: once the watchdog closed the stream, every
-        // further emission would land behind its flush marker and be
-        // ignored — stop feeding the queues instead. Bounds the racing
-        // overshoot to the one batch already pulled.
-        if (source_closed.load(std::memory_order_acquire)) break;
-        const Timestamp t = tuple.event_time();
-        emitter.Emit(std::move(tuple));
-        if (topology_.source.watermark_interval > 0 && generator.Observe(t)) {
-          const Timestamp wm = generator.current();
-          source_wm.store(wm, std::memory_order_relaxed);
-          source_metrics->Set(WorkerMetrics::kWatermarkMs, wm);
-          emitter.Broadcast(Element::MakeWatermark(wm, 0));
-        }
-      }
-      emitter.PublishEmitted();
-    }
-    // Final watermark releases every buffered window, then flush — unless
-    // the watchdog already closed the stream on this source's behalf.
-    bool expected = false;
-    if (!source_closed.compare_exchange_strong(expected, true)) return;
-    source_wm.store(WatermarkGenerator::FinalWatermark(),
-                    std::memory_order_relaxed);
-    emitter.Broadcast(
-        Element::MakeWatermark(WatermarkGenerator::FinalWatermark(), 0));
-    emitter.Broadcast(Element::MakeFlush(0));
-  });
-
-  // --- Watermark watchdog -------------------------------------------------
-  // A source that makes no progress for `watchdog_idle` while the stage-0
-  // queues sit *empty* is stalled, not back-pressured (a blocked-on-full
-  // source would leave its queues non-empty). The watchdog takes over the
-  // stream close: cancel hooks unstick the spout, an anomaly element tells
-  // the bolts the input was cut short (open windows emit degraded instead
-  // of posing as accurate), and the final watermark + flush release them.
-  // All of its pushes are control elements (reserved headroom), so the
-  // watchdog itself can never block on a queue.
-  std::thread watchdog_thread;
-  if (topology_.overload.WatchdogEnabled()) {
-    watchdog_thread = std::thread([&]() {
-      const std::int64_t idle_ns =
-          topology_.overload.watchdog_idle * 1'000'000;
-      const DurationMs poll_ms =
-          std::max<DurationMs>(topology_.overload.watchdog_idle / 4, 1);
-      std::uint64_t last_progress =
-          source_progress.load(std::memory_order_relaxed);
-      std::int64_t last_change_ns = NowNs();
-      while (!watchdog_stop.load(std::memory_order_acquire) &&
-             !failed.load(std::memory_order_relaxed) &&
-             !source_closed.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-        const std::uint64_t progress =
-            source_progress.load(std::memory_order_relaxed);
-        if (progress != last_progress) {
-          last_progress = progress;
-          last_change_ns = NowNs();
-          continue;
-        }
-        bool starved = true;
-        for (auto& q : queues[0]) {
-          if (q->size() != 0) {
-            starved = false;
-            break;
-          }
-        }
-        if (!starved) {
-          // Idle source but data still in flight: back-pressure territory.
-          last_change_ns = NowNs();
-          continue;
-        }
-        if (NowNs() - last_change_ns < idle_ns) continue;
-        bool expected = false;
-        if (!source_closed.compare_exchange_strong(expected, true)) break;
-        watchdog_advances.fetch_add(1, std::memory_order_relaxed);
-        for (const auto& hook : topology_.cancel_hooks) hook();
-        StageEmitter closer(0, &topology_.stages[0].input_partitioner,
-                            queues_of_stage(0), batch_max, nullptr, nullptr);
-        closer.Broadcast(Element::MakeAnomaly(0));
-        closer.Broadcast(Element::MakeWatermark(
-            WatermarkGenerator::FinalWatermark(), 0));
-        closer.Broadcast(Element::MakeFlush(0));
-        break;
-      }
-    });
+  /// Runs the topology's cancel hooks, once per run.
+  void RunCancelHooks() {
+    if (hooks_run.exchange(true)) return;
+    for (const auto& hook : topology.cancel_hooks) hook();
   }
 
-  sampler.Start();
-
-  for (std::thread& t : threads) t.join();
-  watchdog_stop.store(true, std::memory_order_release);
-  if (watchdog_thread.joinable()) watchdog_thread.join();
-  sampler.Stop();  // performs the final periodic scrape, if armed
-
-  if (failed.load()) {
+  /// The first error; the report (and its suppressed list) is dropped on
+  /// failure, so the returned Status carries the evidence itself.
+  Status FailureStatus() {
     std::lock_guard<std::mutex> lock(error_mutex);
     if (suppressed_errors.empty()) return first_error;
-    // The report (and its suppressed list) is dropped on failure, so the
-    // returned Status must carry the evidence itself.
     std::string message = first_error.message() + " [+" +
                           std::to_string(suppressed_errors.size()) +
                           " suppressed:";
     for (const Status& s : suppressed_errors) {
       message += " {" + s.ToString() + "}";
     }
-    message += "]";
-    return Status(first_error.code(), std::move(message));
+    return Status(first_error.code(), message + "]");
   }
 
-  // Merge the sink workers' private outputs in task order.
-  std::size_t total = 0;
-  for (const auto& part : sink_outputs) total += part.size();
-  report.output.reserve(total);
-  for (auto& part : sink_outputs) {
-    std::move(part.begin(), part.end(), std::back_inserter(report.output));
+  /// Dead-letter retention cap, shared across workers: true while a
+  /// quarantined tuple may still be retained; the overflow is counted.
+  bool AdmitDeadLetter() {
+    const bool admit =
+        dead_letters_admitted.fetch_add(1, std::memory_order_relaxed) <
+        options.max_dead_letters;
+    if (!admit) dead_letters_dropped.fetch_add(1, std::memory_order_relaxed);
+    return admit;
   }
-  // Merge the dead letters in (stage, task) order, and settle the fault
-  // counters: worker metrics cover retries/recoveries/quarantines/
-  // degradations, the injector knows what it fired.
-  for (auto& part : worker_dead_letters) {
-    std::move(part.begin(), part.end(),
-              std::back_inserter(report.dead_letters));
+
+  /// Ends the stream on stage 0's channels: the final watermark releases
+  /// every buffered window, then the flush. Whoever CASes source_closed
+  /// first owns the close — the source at end of input, or the watchdog
+  /// when it declares the source stalled (`abnormal`: the cancel hooks
+  /// unstick the spout, and an anomaly element tells the bolts the input
+  /// was cut short). Returns false when the stream was already closed.
+  bool CloseStream(StageEmitter* emitter, bool abnormal) {
+    bool expected = false;
+    if (!source_closed.compare_exchange_strong(expected, true)) return false;
+    if (abnormal) {
+      RunCancelHooks();
+      emitter->Broadcast(Element::Control(Kind::kAnomaly, 0));
+    }
+    const Timestamp final_wm = WatermarkGenerator::FinalWatermark();
+    source_wm.store(final_wm, std::memory_order_relaxed);
+    emitter->Broadcast(Element::Control(Kind::kWatermark, 0, final_wm));
+    emitter->Broadcast(Element::Control(Kind::kFlush, 0));
+    return true;
   }
+
+  const Topology& topology;
+  const RuntimeOptions& options;
+  const std::size_t batch_max;
+  /// queues[i][t]: input queue of stage i, task t.
+  std::vector<std::vector<std::unique_ptr<ElementQueue>>> queues;
+  std::vector<std::unique_ptr<OverloadDetector>> detectors;
+  std::unique_ptr<InMemoryCheckpointStore> private_store;
+  CheckpointStore* checkpoint_store;
+
+  std::atomic<bool> failed{false};
+  std::mutex error_mutex;
+  Status first_error = Status::OK();
+  std::vector<Status> suppressed_errors;
+  std::atomic<bool> hooks_run{false};
+
+  std::atomic<std::uint64_t> dead_letters_admitted{0};
+  std::atomic<std::uint64_t> dead_letters_dropped{0};
+
+  // Source signals: its watermark (read by workers for watermark lag), its
+  // pull count (read by the watchdog for stall detection), its replay
+  // offset at the last completed NextBatch (recorded into snapshot
+  // headers; advisory: in-process recovery replays from the per-worker
+  // log, the offset lets an external driver re-seek a re-created source
+  // after a full-process restart), and who closed the stream.
+  std::atomic<Timestamp> source_wm{kMinTimestamp};
+  std::atomic<std::uint64_t> source_progress{0};
+  std::atomic<std::uint64_t> source_offset{0};
+  std::atomic<bool> source_closed{false};
+  std::atomic<std::uint64_t> watchdog_advances{0};
+};
+
+/// One (stage, task) worker: starts its bolt, delivers popped batches,
+/// aligns watermarks across its input channels, snapshots at watermark
+/// boundaries, and rebuilds the bolt in place after a crash. Owns the
+/// bolt, the emitter, the replay log and the dedup, and its share of the
+/// run's results (sink output, dead letters, spans), merged after join.
+class StageWorker {
+ public:
+  StageWorker(RunState& run, std::size_t stage, int task,
+              WorkerMetrics* metrics)
+      : run_(run),
+        ckpt_(run.options.checkpoint),
+        injector_(run.options.fault_injector),
+        stage_(run.topology.stages[stage]),
+        task_(task),
+        metrics_(metrics),
+        tracer_(run.options.obs.trace_enabled
+                    ? std::make_unique<obs::WindowTracer>(
+                          run.options.obs.trace, ckpt_.enabled)
+                    : nullptr),
+        in_queue_(run.queues[stage][static_cast<std::size_t>(task)].get()),
+        detector_(run.detectors[stage].get()),
+        emitter_(run.EmitterTo(stage + 1, task, metrics, &output_)),
+        dedup_(&emitter_, tracer_.get(), metrics),
+        retry_seed_((static_cast<std::uint64_t>(stage) << 32) ^
+                    static_cast<std::uint64_t>(task) ^ 0x5EA45EA4ULL),
+        ctx_{task, stage_.parallelism, metrics, detector_, tracer_.get()},
+        channel_wm_(static_cast<std::size_t>(
+                        stage == 0 ? 1 : run.topology.stages[stage - 1]
+                                             .parallelism),
+                    kMinTimestamp),
+        channel_flushed_(channel_wm_.size(), false) {}
+  StageWorker(const StageWorker&) = delete;
+  StageWorker& operator=(const StageWorker&) = delete;
+
+  /// The worker thread: runs until every input channel flushed, the run
+  /// failed, or this worker's error failed it.
+  void Run() {
+    metrics_->Set(WorkerMetrics::kQueueCapacity, in_queue_->capacity());
+    if (Status s = StartBolt(false); !s.ok()) {
+      run_.Fail(s);
+      return;
+    }
+    // Checkpoint/recovery state is inert when checkpointing is off or the
+    // bolt keeps no state: no logging, no snapshots, no dedup hashing.
+    log_replay_ = cp_ != nullptr;
+    out_ = log_replay_ ? static_cast<Emitter*>(&dedup_) : &emitter_;
+
+    const std::size_t batch_max = run_.batch_max;
+    std::vector<Element> batch;
+    batch.reserve(batch_max);
+    std::uint32_t gauge_tick = 0;
+    while (!run_.failed.load(std::memory_order_relaxed)) {
+      batch.clear();
+      if (in_queue_->TryPopAll(&batch, batch_max) == 0) {
+        // About to sleep: hand any buffered output downstream first so a
+        // starved consumer is never waiting on tuples we hold.
+        emitter_.FlushAll();
+        if (in_queue_->PopAll(&batch, batch_max) == 0) {
+          break;  // closed (cancelled run)
+        }
+      }
+      if (detector_ != nullptr) {
+        // Occupancy at pop time (the popped batch counts): observed before
+        // the batch is processed, so admission already sees the ramped
+        // shed probability for these very tuples.
+        detector_->ObserveQueue(in_queue_->size() + batch.size(),
+                                in_queue_->capacity());
+      }
+      // Decimated 64x: a gauge is a point-in-time sample scraped at
+      // ms-scale, while in_queue_->size() takes the queue mutex — a
+      // per-batch update would double lock traffic at batch size 1.
+      if ((gauge_tick++ & 63u) == 0) {
+        metrics_->Set(WorkerMetrics::kQueueDepth,
+                      in_queue_->size() + batch.size());
+        if (detector_ != nullptr) {
+          metrics_->Set(WorkerMetrics::kShedProbability,
+                        detector_->shed_probability());
+        }
+      }
+
+      // Drain the popped batch locally; metrics updates are batched — one
+      // timer read pair and one tuples in/out and busy-time add per popped
+      // batch instead of per tuple.
+      std::uint64_t batch_tuples = 0;
+      std::int64_t batch_busy = 0;
+      Status status = Status::OK();
+      bool finished = false;
+      {
+        ScopedTimerNs timer(&batch_busy);
+        for (Element& element : batch) {
+          status = Deliver(element, &batch_tuples, &finished);
+          if (!status.ok() || finished) break;
+        }
+      }
+      metrics_->AddTuplesIn(batch_tuples);
+      metrics_->AddBusyNs(batch_busy);
+      emitter_.PublishEmitted();
+      if (!status.ok()) {
+        run_.Fail(status);
+        return;
+      }
+      if (finished) return;
+    }
+  }
+
+  /// Moves this worker's sink output, dead letters and spans into `report`.
+  void CollectInto(RunReport* report) {
+    std::move(output_.begin(), output_.end(),
+              std::back_inserter(report->output));
+    std::move(dead_letters_.begin(), dead_letters_.end(),
+              std::back_inserter(report->dead_letters));
+    if (tracer_ == nullptr) return;
+    std::vector<obs::TraceSpan> spans = tracer_->Snapshot();
+    std::move(spans.begin(), spans.end(),
+              std::back_inserter(report->observability.spans));
+    report->observability.spans_sampled_out += tracer_->sampled_out();
+    report->observability.spans_dropped += tracer_->dropped();
+  }
+
+ private:
+  /// Builds and prepares a fresh bolt: at worker start, and again at every
+  /// recovery.
+  Status StartBolt(bool recovery) {
+    bolt_ = stage_.bolt_factory(task_);
+    if (bolt_ == nullptr) {
+      return Status::Internal("stage '" + stage_.name +
+                              "' factory returned null bolt" +
+                              (recovery ? " during recovery" : ""));
+    }
+    SPEAR_RETURN_NOT_OK(GuardedBoltCall(
+        StatusCode::kInternal,
+        recovery ? "bolt prepare (recovery)" : "bolt prepare",
+        [&] { return bolt_->Prepare(ctx_); }));
+    cp_ = ckpt_.enabled ? bolt_->checkpointable() : nullptr;
+    return Status::OK();
+  }
+
+  Status Execute(const Tuple& tuple, const char* what) {
+    return GuardedBoltCall(StatusCode::kInvalidArgument, what,
+                           [&] { return bolt_->Execute(tuple, out_); });
+  }
+
+  /// Runs a bolt lifecycle call, then forwards `control` downstream.
+  template <typename Fn>
+  Status CallAndForward(const char* what, Fn&& call, Element control) {
+    SPEAR_RETURN_NOT_OK(GuardedBoltCall(StatusCode::kInternal, what, call));
+    emitter_.Broadcast(std::move(control));
+    return Status::OK();
+  }
+
+  /// Closes the windows the worker's aligned watermark completes and
+  /// forwards the watermark.
+  Status CloseWindows(const char* what) {
+    return CallAndForward(
+        what, [&] { return bolt_->OnWatermark(local_wm_, out_); },
+        Element::Control(Kind::kWatermark, task_, local_wm_));
+  }
+
+  Status DeliverTuple(Tuple& tuple) {
+    // Crash site: consulted in every worker whenever an injector arms it,
+    // so a fired crash with checkpointing disabled fails the run — the
+    // recovery subsystem is load-bearing, not decorative.
+    if (injector_ != nullptr && injector_->armed(FaultSite::kWorkerCrash) &&
+        injector_->Tick(FaultSite::kWorkerCrash).fire) {
+      // On success the crash hit before this tuple was consumed, so it
+      // now processes normally.
+      SPEAR_RETURN_NOT_OK(Recover(Status::Internal(
+          "injected fault: worker crash at stage '" + stage_.name +
+          "' task " + std::to_string(task_))));
+    }
+    if (log_replay_) {
+      if (replay_log_.size() >= ckpt_.max_replay_tuples) {
+        replay_log_.pop_front();  // oldest tuple becomes loss
+      }
+      replay_log_.push_back(tuple);
+      ++consumed_since_snapshot_;
+    }
+    Status status = Execute(tuple, "bolt execute");
+    if (status.ok()) return status;
+    return Supervise(tuple, std::move(status));
+  }
+
+  /// Supervised delivery of a tuple whose first Execute failed: a thrown
+  /// exception is a data error (confined to this tuple); transient
+  /// failures are retried under the stage policy; what still fails
+  /// non-transiently is quarantined, not fatal. Kept off the per-tuple
+  /// path.
+  Status Supervise(Tuple& tuple, Status status) {
+    int attempts = 1;
+    if (stage_.retry.enabled()) {
+      Backoff backoff(stage_.retry, retry_seed_);
+      std::int64_t delay_ns = 0;
+      while (!status.ok() &&
+             ClassifyFailure(status) == FailureClass::kTransient &&
+             !run_.failed.load(std::memory_order_relaxed) &&
+             backoff.NextDelay(&delay_ns)) {
+        BackoffSleep(delay_ns, &run_.failed);
+        metrics_->AddRetries(1);
+        ++attempts;
+        status = Execute(tuple, "bolt execute");
+        if (status.ok()) metrics_->AddRecovered(1);
+      }
+    }
+    if (status.ok()) return status;
+    if (ClassifyFailure(status) == FailureClass::kData) {
+      if (run_.AdmitDeadLetter()) {
+        dead_letters_.push_back(DeadLetter{stage_.name, task_, attempts,
+                                           status, std::move(tuple)});
+      }
+      metrics_->AddQuarantined(1);
+      return Status::OK();  // the run goes on
+    }
+    // Fatal or retry-exhausted: last resort is a restart from the
+    // checkpoint (the failing tuple is in the replay log; a deterministic
+    // failure exhausts the recovery budget and then cancels the run).
+    return Recover(status);
+  }
+
+  Status Deliver(Element& element, std::uint64_t* tuples, bool* finished) {
+    switch (element.kind) {
+      case Kind::kTuple:
+        ++*tuples;
+        return DeliverTuple(element.tuple);
+      case Kind::kWatermark:
+        return AdvanceWatermark(element.from_channel, element.watermark);
+      case Kind::kAnomaly:
+        // Deliver once per worker (each upstream task forwards its own
+        // copy), then propagate so every downstream stage learns the
+        // stream was cut short before its final watermark arrives.
+        if (anomaly_seen_) return Status::OK();
+        anomaly_seen_ = true;
+        return CallAndForward(
+            "bolt delivery anomaly",
+            [&] { return bolt_->OnDeliveryAnomaly(out_); },
+            Element::Control(Kind::kAnomaly, task_));
+      case Kind::kFlush:
+        channel_flushed_[static_cast<std::size_t>(element.from_channel)] = true;
+        if (std::find(channel_flushed_.begin(), channel_flushed_.end(),
+                      false) != channel_flushed_.end()) {
+          return Status::OK();
+        }
+        *finished = true;  // every upstream channel is done
+        return CallAndForward(
+            "bolt finish", [&] { return bolt_->Finish(out_); },
+            Element::Control(Kind::kFlush, task_));
+    }
+    return Status::OK();
+  }
+
+  /// Aligns the worker's watermark as the minimum across its input
+  /// channels; when it advances, closes windows and maybe snapshots.
+  Status AdvanceWatermark(int channel, Timestamp watermark) {
+    Timestamp& ch = channel_wm_[static_cast<std::size_t>(channel)];
+    ch = std::max(ch, watermark);
+    const Timestamp aligned =
+        *std::min_element(channel_wm_.begin(), channel_wm_.end());
+    if (aligned <= local_wm_) return Status::OK();
+    local_wm_ = aligned;
+    if (detector_ != nullptr &&
+        local_wm_ != WatermarkGenerator::FinalWatermark()) {
+      // How far this stage's aligned watermark trails the source's: a
+      // healthy (zero-lag) observation decays the shed probability, a
+      // laggy one ratchets it.
+      const Timestamp src = run_.source_wm.load(std::memory_order_relaxed);
+      if (src != kMinTimestamp && src != WatermarkGenerator::FinalWatermark()) {
+        detector_->ObserveWatermarkLag(src > local_wm_ ? src - local_wm_ : 0);
+      }
+    }
+    // Watermark work is not idempotent (window state advances), so it is
+    // guarded but never retried; an escaped exception here is recovered
+    // from the checkpoint when enabled (recovery re-runs the catch-up
+    // watermark and broadcasts it itself), fatal otherwise.
+    if (Status s = CloseWindows("bolt watermark"); !s.ok()) return Recover(s);
+    if (log_replay_ && cp_ != nullptr &&
+        local_wm_ != WatermarkGenerator::FinalWatermark() &&
+        (last_snapshot_wm_ == kMinTimestamp ||
+         local_wm_ - last_snapshot_wm_ >=
+             static_cast<Timestamp>(ckpt_.interval))) {
+      Snapshot();
+    }
+    return Status::OK();
+  }
+
+  /// Snapshot right after emission: just-closed windows are out of the
+  /// state, so the payload is O(b) in the open windows' budgets. A failed
+  /// snapshot or Put leaves the previous snapshot (and the longer replay
+  /// log) in charge — the run itself is unaffected.
+  void Snapshot() {
+    Result<std::string> payload = cp_->SnapshotState();
+    if (!payload.ok()) return;
+    CheckpointSnapshot snapshot;
+    snapshot.stage = stage_.name;
+    snapshot.task = task_;
+    snapshot.sequence = snapshot_seq_++;
+    snapshot.watermark = local_wm_;
+    snapshot.source_offset =
+        run_.source_offset.load(std::memory_order_relaxed);
+    snapshot.payload = std::move(*payload);
+    if (!run_.checkpoint_store->Put(snapshot).ok()) return;
+    last_snapshot_wm_ = local_wm_;
+    replay_log_.clear();
+    consumed_since_snapshot_ = 0;
+    // Windows emitted up to here are in no restorable state anymore, so
+    // they can never re-emit: forget their keys.
+    dedup_.ClearSeen();
+    metrics_->AddSnapshots(1, snapshot.payload.size());
+  }
+
+  /// Tears a failed bolt down and rebuilds it in place: fresh instance,
+  /// state restored from the latest valid snapshot, replay log re-fed,
+  /// windows re-closed up to the worker's watermark with duplicate results
+  /// suppressed. Returns OK when the worker may keep consuming; otherwise
+  /// the error that cancels the run.
+  Status Recover(const Status& cause) {
+    if (!ckpt_.enabled || run_.failed.load(std::memory_order_relaxed)) {
+      return cause;
+    }
+    if (restarts_ >= ckpt_.max_recoveries_per_worker) {
+      return Status(cause.code(), "worker recovery budget exhausted after " +
+                                      std::to_string(restarts_) +
+                                      " restarts: " + cause.message());
+    }
+    ++restarts_;
+    metrics_->AddWorkerRestarts(1);
+    SPEAR_RETURN_NOT_OK(StartBolt(true));
+    if (cp_ == nullptr) return Status::OK();  // stateless: fresh bolt
+
+    // kNotFound = crash before the first snapshot: start from fresh state,
+    // the whole replay log re-feeds it.
+    Result<CheckpointSnapshot> snap =
+        run_.checkpoint_store->Latest(stage_.name, task_);
+    if (snap.ok()) {
+      SPEAR_RETURN_NOT_OK(cp_->RestoreState(snap->payload));
+    } else if (!snap.status().IsNotFound()) {
+      return snap.status();
+    }
+    // Catch back up. The dedup emitter is armed so windows that were
+    // already delivered before the crash are suppressed — downstream sees
+    // every window result at most once.
+    dedup_.SetArmed(true);
+    Status catch_up = Status::OK();
+    for (const Tuple& logged : replay_log_) {
+      Status es = Execute(logged, "bolt execute (replay)");
+      if (!es.ok() && ClassifyFailure(es) == FailureClass::kFatal) {
+        catch_up = es;
+        break;
+      }
+      // Transient/data replay failures: the tuple was already retried or
+      // quarantined on first delivery; skip it here.
+    }
+    // Downstream alignment is max-based per channel, so re-announcing the
+    // same watermark is idempotent.
+    if (catch_up.ok() && local_wm_ != kMinTimestamp) {
+      catch_up = CloseWindows("bolt watermark (recovery)");
+    }
+    dedup_.SetArmed(false);
+    // Tuples consumed since the snapshot that fell off the bounded log are
+    // unrecoverable; fold them into the affected windows' error estimates
+    // instead of silently ignoring them. This must happen AFTER the
+    // catch-up: during replay the "next window that opens" is an
+    // already-delivered one whose re-emission the dedup suppresses, so
+    // loss noted before replay could vanish from the output. Noted here,
+    // it lands on the windows still active across the crash (or the next
+    // genuinely new window).
+    if (catch_up.ok() && consumed_since_snapshot_ > replay_log_.size()) {
+      cp_->NoteRecoveryLoss(consumed_since_snapshot_ - replay_log_.size());
+    }
+    return catch_up;
+  }
+
+  RunState& run_;
+  const CheckpointConfig& ckpt_;
+  FaultInjector* const injector_;
+  const StageSpec& stage_;
+  const int task_;
+  WorkerMetrics* const metrics_;
+  const std::unique_ptr<obs::WindowTracer> tracer_;
+  ElementQueue* const in_queue_;
+  OverloadDetector* const detector_;
+  std::vector<Tuple> output_;  // sink stage only
+  std::vector<DeadLetter> dead_letters_;
+  StageEmitter emitter_;
+  WindowDedupEmitter dedup_;
+  /// Deterministic per-worker jitter stream for retry backoff.
+  const std::uint64_t retry_seed_;
+  BoltContext ctx_;
+  std::unique_ptr<Bolt> bolt_;
+  Checkpointable* cp_ = nullptr;
+  bool log_replay_ = false;
+  Emitter* out_ = nullptr;  // what the bolt emits into
+
+  std::deque<Tuple> replay_log_;
+  std::uint64_t consumed_since_snapshot_ = 0;
+  Timestamp last_snapshot_wm_ = kMinTimestamp;
+  std::uint64_t snapshot_seq_ = 0;
+  int restarts_ = 0;
+
+  std::vector<Timestamp> channel_wm_;
+  std::vector<bool> channel_flushed_;
+  Timestamp local_wm_ = kMinTimestamp;
+  bool anomaly_seen_ = false;
+};
+
+/// The source thread: drains the spout into stage 0, broadcasting the
+/// generator's watermarks and publishing its progress and replay offset,
+/// then closes the stream (unless the watchdog already did).
+void DriveSource(RunState& run, WorkerMetrics* metrics) {
+  const SourceSpec& source = run.topology.source;
+  StageEmitter emitter = run.EmitterTo(0, 0, metrics);
+  ReplayableSpout* const replay_source = source.spout->replayable();
+  // With interval <= 0 the generator is never consulted: only the final
+  // end-of-stream watermark fires.
+  WatermarkGenerator generator(
+      std::max<DurationMs>(source.watermark_interval, 1), source.max_lateness);
+
+  std::vector<Tuple> pulled;
+  pulled.reserve(run.batch_max);
+  bool more = true;
+  while (more && !run.failed.load(std::memory_order_relaxed) &&
+         !run.source_closed.load(std::memory_order_acquire)) {
+    pulled.clear();
+    more = source.spout->NextBatch(&pulled, run.batch_max);
+    run.source_progress.fetch_add(1, std::memory_order_relaxed);
+    if (replay_source != nullptr) {
+      run.source_offset.store(replay_source->ReplayOffset(),
+                              std::memory_order_relaxed);
+    }
+    for (Tuple& tuple : pulled) {
+      // Re-check per tuple: once the watchdog closed the stream, every
+      // further emission would land behind its flush marker and be
+      // ignored — stop feeding the queues instead. Bounds the racing
+      // overshoot to the one batch already pulled.
+      if (run.source_closed.load(std::memory_order_acquire)) break;
+      const Timestamp t = tuple.event_time();
+      emitter.Emit(std::move(tuple));
+      if (source.watermark_interval > 0 && generator.Observe(t)) {
+        const Timestamp wm = generator.current();
+        run.source_wm.store(wm, std::memory_order_relaxed);
+        metrics->Set(WorkerMetrics::kWatermarkMs, wm);
+        emitter.Broadcast(Element::Control(Kind::kWatermark, 0, wm));
+      }
+    }
+    emitter.PublishEmitted();
+  }
+  run.CloseStream(&emitter, /*abnormal=*/false);
+}
+
+/// The watermark watchdog: a source that makes no progress for
+/// `watchdog_idle` while the stage-0 queues sit *empty* is stalled, not
+/// back-pressured (a blocked-on-full source would leave its queues
+/// non-empty), and the watchdog closes the stream abnormally in its
+/// place. All of its pushes are control elements (reserved headroom), so
+/// the watchdog itself can never block on a queue.
+void WatchSource(RunState& run, const std::atomic<bool>& stop) {
+  const DurationMs idle_ms = run.options.overload.watchdog_idle;
+  const std::int64_t idle_ns = idle_ms * 1'000'000;
+  const DurationMs poll_ms = std::max<DurationMs>(idle_ms / 4, 1);
+  std::uint64_t last_progress =
+      run.source_progress.load(std::memory_order_relaxed);
+  std::int64_t last_change_ns = NowNs();
+  while (!stop.load(std::memory_order_acquire) &&
+         !run.failed.load(std::memory_order_relaxed) &&
+         !run.source_closed.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
+    const std::uint64_t progress =
+        run.source_progress.load(std::memory_order_relaxed);
+    const bool starved = std::all_of(
+        run.queues[0].begin(), run.queues[0].end(),
+        [](const std::unique_ptr<ElementQueue>& q) { return q->size() == 0; });
+    // Progress, or an idle source with data still in flight
+    // (back-pressure territory), restarts the idle clock.
+    if (progress != last_progress || !starved) {
+      last_progress = progress;
+      last_change_ns = NowNs();
+      continue;
+    }
+    if (NowNs() - last_change_ns < idle_ns) continue;
+    StageEmitter closer = run.EmitterTo(0, 0, nullptr);
+    if (run.CloseStream(&closer, /*abnormal=*/true)) {
+      run.watchdog_advances.fetch_add(1, std::memory_order_relaxed);
+    }
+    return;
+  }
+}
+
+}  // namespace
+
+/// The supervisor: wires the units, joins them, and assembles the report.
+Result<RunReport> Executor::Run() {
+  const RuntimeOptions& options = topology_.runtime;
+  RunReport report;
+
+  // Re-arm the storages' simulated latency (a previous cancelled run may
+  // have tripped their stop flag).
+  for (SecondaryStorage* s : topology_.storages) s->ResetSimulatedLatency();
+
+  RunState run(topology_);
+  // Every worker counts into its shard of report.metrics, always;
+  // `.Metrics()` only adds the sampler and the final scrape into
+  // report.observability. Registration happens here, single-threaded, so
+  // workers never contend on it; the source counts like a worker, under
+  // stage "source".
+  obs::PeriodicSampler sampler(
+      options.obs.metrics_enabled ? &report.metrics.exported() : nullptr,
+      options.obs.metrics);
+  WorkerMetrics* const source_metrics = report.metrics.Register("source", 0);
+  std::vector<std::unique_ptr<StageWorker>> workers;
+  for (std::size_t i = 0; i < topology_.stages.size(); ++i) {
+    const StageSpec& stage = topology_.stages[i];
+    for (int task = 0; task < stage.parallelism; ++task) {
+      workers.push_back(std::make_unique<StageWorker>(
+          run, i, task, report.metrics.Register(stage.name, task)));
+    }
+  }
+
+  std::vector<std::thread> threads;
+  for (auto& worker : workers) {
+    threads.emplace_back([w = worker.get()] { w->Run(); });
+  }
+  threads.emplace_back([&] { DriveSource(run, source_metrics); });
+  std::atomic<bool> watchdog_stop{false};
+  std::thread watchdog;
+  if (options.overload.WatchdogEnabled()) {
+    watchdog = std::thread([&] { WatchSource(run, watchdog_stop); });
+  }
+  sampler.Start();
+
+  for (std::thread& t : threads) t.join();
+  watchdog_stop.store(true, std::memory_order_release);
+  if (watchdog.joinable()) watchdog.join();
+  sampler.Stop();  // performs the final periodic scrape, if armed
+
+  if (run.failed.load()) return run.FailureStatus();
+
+  // Merge the workers' sink outputs, dead letters and spans in (stage,
+  // task) order, and settle the fault counters: worker metrics cover
+  // retries/recoveries/quarantines/degradations, the injector knows what
+  // it fired.
+  for (auto& worker : workers) worker->CollectInto(&report);
   report.faults = report.metrics.FaultTotals();
-  if (topology_.fault_injector != nullptr) {
-    report.faults.injected = topology_.fault_injector->total_fired();
+  if (options.fault_injector != nullptr) {
+    report.faults.injected = options.fault_injector->total_fired();
   }
-  report.recoveries = report.faults.worker_restarts;
   report.dead_letters_dropped =
-      dropped_dead_letters.load(std::memory_order_relaxed);
+      run.dead_letters_dropped.load(std::memory_order_relaxed);
   report.overload = report.metrics.OverloadTotals();
   report.overload.watchdog_advances +=
-      watchdog_advances.load(std::memory_order_relaxed);
+      run.watchdog_advances.load(std::memory_order_relaxed);
   // Final observability scrape into the report: every metric series and
   // every retained trace span, merged across worker shards.
-  report.observability.metrics_enabled = obs_cfg.metrics_enabled;
-  report.observability.trace_enabled = obs_cfg.trace_enabled;
-  if (obs_cfg.metrics_enabled) {
+  report.observability.metrics_enabled = options.obs.metrics_enabled;
+  report.observability.trace_enabled = options.obs.trace_enabled;
+  if (options.obs.metrics_enabled) {
     report.observability.metrics = report.metrics.exported().Collect();
     report.observability.scrapes = sampler.scrapes();
-  }
-  for (const auto& tracer : tracers) {
-    std::vector<obs::TraceSpan> spans = tracer->Snapshot();
-    std::move(spans.begin(), spans.end(),
-              std::back_inserter(report.observability.spans));
-    report.observability.spans_sampled_out += tracer->sampled_out();
-    report.observability.spans_dropped += tracer->dropped();
   }
   return report;
 }

@@ -13,35 +13,37 @@
 #include "runtime/topology.h"
 
 /// \file executor.h
-/// Multi-threaded topology execution: one source thread drains the spout,
-/// one worker thread per (stage, task) runs a bolt instance. Inter-stage
-/// channels are bounded blocking queues (back-pressure), watermarks are
-/// broadcast and aligned per worker as the minimum across input channels,
-/// and end-of-stream is a flush marker that propagates once every input
-/// channel has flushed. Tuples on one channel stay in order (the paper's
-/// experiments enable Storm's in-order delivery).
+/// Multi-threaded topology execution, in four units that share one run
+/// state (the channels, the failure state, dead-letter admission and the
+/// source's signals):
 ///
-/// Channels are micro-batched (Topology::batch_max_tuples): emitters buffer
-/// tuples per target and move them as one batch per lock acquisition, and
-/// workers drain popped batches locally. Control elements force a flush, so
-/// ordering, watermark, and back-pressure semantics match batch size 1.
+///   - the *source driver* (one thread) drains the spout into stage 0,
+///     broadcasts source watermarks, and closes the stream at its end;
+///   - a *stage worker* per (stage, task) owns one bolt instance: it starts
+///     the bolt, delivers popped batches, aligns watermarks as the minimum
+///     across its input channels, snapshots at watermark boundaries, and
+///     recovers from a crash;
+///   - the *watchdog* (with Topology::runtime.overload.watchdog_idle)
+///     closes the stream abnormally in a stalled source's place;
+///   - the *supervisor*, Executor::Run, wires the units, joins them and
+///     assembles the RunReport.
 ///
-/// Workers are *supervised* (see common/retry_policy.h for the failure
-/// taxonomy): bolt exceptions become Statuses, transient Execute failures
-/// are retried under the stage's RetryPolicy, data errors quarantine the
-/// offending tuple to the run's dead-letter channel, and only fatal or
-/// retry-exhausted errors cancel the run.
+/// Channels are bounded blocking queues (back-pressure), micro-batched per
+/// target (RuntimeOptions::batch_max_tuples); control elements (watermark,
+/// flush, anomaly) force a flush, so ordering, watermark and back-pressure
+/// semantics match batch size 1. End-of-stream is a flush marker that
+/// propagates once every input channel has flushed; tuples on one channel
+/// stay in order (the paper's experiments enable Storm's in-order delivery).
 ///
-/// With Topology::checkpoint enabled, workers are additionally
-/// *recoverable*: checkpointable bolts snapshot their O(b) state at
-/// watermark boundaries, every consumed tuple since the last snapshot is
-/// kept in a bounded replay log, and a crashed worker (kWorkerCrash
-/// injection, an escaped exception, or a retry-exhausted failure) is
-/// rebuilt in place — fresh bolt, state restored from the latest valid
-/// snapshot, log replayed, window results deduplicated by
-/// (window, group) key so downstream sees each result at most once.
-/// Tuples that fell off the bounded log are charged to the recovered
-/// windows' error estimates (Checkpointable::NoteRecoveryLoss).
+/// Workers are *supervised* (see common/retry_policy.h): bolt exceptions
+/// become Statuses, transient Execute failures are retried under the
+/// stage's RetryPolicy, data errors quarantine the tuple to the run's
+/// dead-letter channel, and only fatal or retry-exhausted errors cancel the
+/// run. With checkpointing on they are also *recoverable*: a crashed worker
+/// is rebuilt in place from its latest snapshot, its bounded replay log is
+/// re-fed, and window results are deduplicated by (window, group) key so
+/// downstream sees each at most once; tuples that fell off the log are
+/// charged to the recovered windows' ε̂_w (Checkpointable::NoteRecoveryLoss).
 
 namespace spear {
 
@@ -64,17 +66,15 @@ struct RunReport {
   /// `.Metrics()` exports).
   MetricsRegistry metrics;
   /// Quarantined tuples, merged across workers in stage/task order.
-  /// Capped at Topology::max_dead_letters entries; the overflow is
+  /// Capped at RuntimeOptions::max_dead_letters entries; the overflow is
   /// counted in dead_letters_dropped.
   std::vector<DeadLetter> dead_letters;
   /// Aggregated fault counters (injection, retries, degradation).
   FaultStats faults;
   /// Errors recorded after the first one on a failed run (deduplicated);
   /// empty on success. The returned Status carries the first error.
-  /// Capped at Topology::max_dead_letters entries.
+  /// Capped at RuntimeOptions::max_dead_letters entries.
   std::vector<Status> suppressed_errors;
-  /// Worker crash/restore cycles completed (== faults.worker_restarts).
-  std::uint64_t recoveries = 0;
   /// Quarantined tuples not retained in dead_letters because the cap was
   /// reached (they still count in faults.quarantined).
   std::uint64_t dead_letters_dropped = 0;
@@ -95,10 +95,6 @@ class Executor {
   /// Blocking: returns after the stream is exhausted and every worker has
   /// flushed, or after the first worker error (which cancels the run).
   Result<RunReport> Run();
-
-  // Implementation details, public only for internal linkage reasons.
-  struct Element;
-  class StageEmitter;
 
  private:
   Topology topology_;

@@ -123,12 +123,17 @@ class WorkerMetrics {
   explicit WorkerMetrics(obs::MetricsShard* shard);
 
   void RecordWindowNs(std::int64_t ns) {
+    if (samples_paused_) return;
     window_ns_.push_back(ns);
     window_ns_histogram_->Observe(ns);
   }
   void RecordMemoryBytes(std::size_t bytes) {
+    if (samples_paused_) return;
     memory_bytes_.push_back(static_cast<std::int64_t>(bytes));
   }
+  /// While paused, window-time and memory samples are dropped: a recovery
+  /// catch-up re-closes windows already sampled before the crash.
+  void PauseSamples(bool paused) { samples_paused_ = paused; }
   /// One popped batch of `n` tuples.
   void AddTuplesIn(std::uint64_t n) {
     Add(kTuplesIn, n);
@@ -189,6 +194,7 @@ class WorkerMetrics {
   obs::Histogram* const window_ns_histogram_;
   std::vector<std::int64_t> window_ns_;
   std::vector<std::int64_t> memory_bytes_;
+  bool samples_paused_ = false;
 };
 
 /// \brief Owns every worker's metrics for one topology run, and the one

@@ -19,8 +19,10 @@
 
 /// \file topology.h
 /// CQ -> distributed execution plan (paper Sec. 2): a topologically-sorted
-/// chain of stages, each with its own parallelism and input partitioning.
-/// Built with TopologyBuilder, executed by Executor.
+/// chain of stages, each with its own parallelism and input partitioning,
+/// plus the engine's RuntimeOptions. Built with TopologyBuilder (or
+/// SpearTopologyBuilder, which compiles a CQ into one), executed by
+/// Executor.
 
 namespace spear {
 
@@ -49,10 +51,10 @@ struct SourceSpec {
   DurationMs max_lateness = 0;
 };
 
-/// \brief An executable plan. Immutable once built.
-struct Topology {
-  SourceSpec source;
-  std::vector<StageSpec> stages;
+/// \brief The engine-level settings of a run: one engine runs every CQ, so
+/// both builders declare these once (RuntimeKnobs) and hand them over
+/// whole.
+struct RuntimeOptions {
   /// Capacity of each inter-stage queue (back-pressure bound).
   std::size_t queue_capacity = 1024;
   /// Micro-batch bound for every inter-stage channel: each emitting worker
@@ -67,11 +69,6 @@ struct Topology {
   /// (storage, FaultInjectingBolt/Spout wrappers). Not owned; null in
   /// production. The executor reads its fire counters into the RunReport.
   FaultInjector* fault_injector = nullptr;
-  /// Secondary storages used by this topology's bolts (not owned). Lets
-  /// the executor re-arm their simulated latency at run start and cancel
-  /// it when the run is cancelled, so failing workers don't spin out
-  /// simulated waits.
-  std::vector<SecondaryStorage*> storages;
   /// Checkpoint/recovery policy (disabled by default). When enabled the
   /// executor snapshots every checkpointable worker at watermark
   /// boundaries and restarts crashed workers from their latest snapshot.
@@ -83,20 +80,143 @@ struct Topology {
   /// Overload control: latency SLO + shed policy + watermark watchdog
   /// (all disabled by default; see runtime/overload.h).
   OverloadConfig overload;
+  /// Observability: metrics export + per-window trace spans (both off
+  /// by default; see obs/observability.h).
+  obs::ObsConfig obs;
+
+  /// Checks every setting on its own (the checkpoint's replayable-source
+  /// requirement is the plan's, checked by TopologyBuilder::Build).
+  Status Validate() const {
+    if (queue_capacity == 0) {
+      return Status::Invalid("queue capacity must be > 0");
+    }
+    if (batch_max_tuples == 0) {
+      return Status::Invalid("batch_max_tuples must be > 0");
+    }
+    SPEAR_RETURN_NOT_OK(overload.Validate());
+    SPEAR_RETURN_NOT_OK(obs.Validate());
+    if (checkpoint.enabled && checkpoint.interval < 1) {
+      return Status::Invalid("checkpoint interval must be >= 1 ms");
+    }
+    return Status::OK();
+  }
+};
+
+/// \brief An executable plan. Immutable once built.
+struct Topology {
+  SourceSpec source;
+  std::vector<StageSpec> stages;
+  /// Secondary storages used by this topology's bolts (not owned). Lets
+  /// the executor re-arm their simulated latency at run start and cancel
+  /// it when the run is cancelled, so failing workers don't spin out
+  /// simulated waits.
+  std::vector<SecondaryStorage*> storages;
   /// Invoked (each at most once, any thread) when the executor abandons a
   /// run or the watchdog closes a stalled source — unsticks operators
   /// blocked outside the executor's control (e.g. a stalled spout).
   std::vector<std::function<void()>> cancel_hooks;
-  /// Observability: metrics export + per-window trace spans (both off
-  /// by default; see obs/observability.h and the `.Metrics()`/`.Trace()`
-  /// builder knobs).
-  obs::ObsConfig obs;
+  /// Engine-level settings (queues, faults, checkpoints, shedding, obs).
+  RuntimeOptions runtime;
+};
+
+/// \brief The runtime knobs of both builders, declared once. Each sets a
+/// field of RuntimeOptions and returns the calling builder (`Derived`), so
+/// a chain keeps its builder's type.
+template <typename Derived>
+class RuntimeKnobs {
+ public:
+  Derived& QueueCapacity(std::size_t capacity) {
+    runtime_.queue_capacity = capacity;
+    return Self();
+  }
+
+  /// Chaos testing: attaches a fault injector. SpearTopologyBuilder also
+  /// wraps its spout and stateful bolts in the fault-injecting decorators
+  /// for the sites the plan arms (give a SpillOver storage the same one).
+  Derived& InjectFaults(FaultInjector* injector) {
+    runtime_.fault_injector = injector;
+    return Self();
+  }
+
+  /// Enables checkpoint/restore and crash recovery (`config.enabled` is
+  /// forced true): stateful workers snapshot their O(b) state every
+  /// `config.interval` ms of watermark progress and restart from it on a
+  /// crash, with replay-gap loss folded into ε̂_w. Requires a replayable
+  /// spout and, for a CQ, a time-based window.
+  Derived& Checkpoint(CheckpointConfig config) {
+    config.enabled = true;
+    runtime_.checkpoint = std::move(config);
+    return Self();
+  }
+
+  /// Caps retained dead-letter/suppressed-error entries (default 1024).
+  Derived& DeadLetterCap(std::size_t cap) {
+    runtime_.max_dead_letters = cap;
+    return Self();
+  }
+
+  /// Arms accuracy-aware load shedding against a per-window latency SLO
+  /// (ms): every stage gets an OverloadDetector, and bolts that honor
+  /// BoltContext::overload (the SPEAr bolts) shed admissions while it is
+  /// tripped, folding the shed ratio into ε̂_w like recovery loss.
+  Derived& LatencySlo(DurationMs slo_ms) {
+    runtime_.overload.latency_slo = slo_ms;
+    return Self();
+  }
+
+  /// Replaces the shed policy (thresholds/ramp; see ShedPolicy). Only
+  /// effective together with LatencySlo.
+  Derived& Shed(ShedPolicy policy) {
+    runtime_.overload.shed = policy;
+    return Self();
+  }
+
+  /// Arms the watermark watchdog: a source idle for `idle_ms` with empty
+  /// stage-0 queues is declared stalled and the stream is closed
+  /// abnormally (bolts get OnDeliveryAnomaly, then the final watermark).
+  Derived& WatermarkWatchdog(DurationMs idle_ms) {
+    runtime_.overload.watchdog_idle = idle_ms;
+    return Self();
+  }
+
+  /// Exports the run's counters and gauges (always kept, see
+  /// runtime/metrics.h): a final scrape in RunReport::observability, and
+  /// with `options` a periodic sampler (scrape_period_ms + sink).
+  Derived& Metrics(obs::MetricsOptions options = {}) {
+    runtime_.obs.metrics_enabled = true;
+    runtime_.obs.metrics = std::move(options);
+    return Self();
+  }
+
+  /// Enables per-window TraceSpan recording (decision lineage: arrivals,
+  /// budget, ε̂_w terms, verdict; see obs/trace.h). `options` controls
+  /// sampling and the per-worker cap.
+  Derived& Trace(obs::TraceOptions options = {}) {
+    runtime_.obs.trace_enabled = true;
+    runtime_.obs.trace = options;
+    return Self();
+  }
+
+ protected:
+  RuntimeKnobs() = default;
+  explicit RuntimeKnobs(RuntimeOptions runtime)
+      : runtime_(std::move(runtime)) {}
+
+  RuntimeOptions runtime_;
+
+ private:
+  Derived& Self() { return static_cast<Derived&>(*this); }
 };
 
 /// \brief Fluent builder mirroring the structure of the paper's Fig. 2
 /// DAG: source -> stateless stage(s) -> windowed stateful stage -> sink.
-class TopologyBuilder {
+class TopologyBuilder : public RuntimeKnobs<TopologyBuilder> {
  public:
+  TopologyBuilder() = default;
+  /// Starts from runtime options set on another builder.
+  explicit TopologyBuilder(RuntimeOptions runtime)
+      : RuntimeKnobs(std::move(runtime)) {}
+
   /// Sets the data source. `watermark_interval <= 0` disables periodic
   /// watermarks (the final watermark still fires at end of stream).
   TopologyBuilder& Source(std::shared_ptr<Spout> spout,
@@ -122,89 +242,20 @@ class TopologyBuilder {
     return *this;
   }
 
-  /// Attaches a fault injector to the plan (see Topology::fault_injector).
-  TopologyBuilder& InjectFaults(FaultInjector* injector) {
-    topology_.fault_injector = injector;
-    return *this;
-  }
-
   /// Registers a storage used by this topology's bolts (see
   /// Topology::storages). Idempotent per pointer.
   TopologyBuilder& RegisterStorage(SecondaryStorage* storage) {
-    if (storage != nullptr) {
-      for (SecondaryStorage* s : topology_.storages) {
-        if (s == storage) return *this;
-      }
-      topology_.storages.push_back(storage);
+    std::vector<SecondaryStorage*>& known = topology_.storages;
+    if (storage != nullptr &&
+        std::find(known.begin(), known.end(), storage) == known.end()) {
+      known.push_back(storage);
     }
     return *this;
   }
 
-  TopologyBuilder& QueueCapacity(std::size_t capacity) {
-    topology_.queue_capacity = capacity;
-    return *this;
-  }
-
-  /// Per-channel micro-batch bound (1 = unbatched; see Topology).
+  /// Per-channel micro-batch bound (1 = unbatched; see RuntimeOptions).
   TopologyBuilder& BatchMaxTuples(std::size_t batch_max) {
-    topology_.batch_max_tuples = batch_max;
-    return *this;
-  }
-
-  /// Enables checkpoint/restore with the given policy (see
-  /// Topology::checkpoint). `config.enabled` is forced true.
-  TopologyBuilder& Checkpoint(CheckpointConfig config) {
-    config.enabled = true;
-    topology_.checkpoint = std::move(config);
-    return *this;
-  }
-
-  /// Caps retained dead-letter/suppressed-error entries (see
-  /// Topology::max_dead_letters).
-  TopologyBuilder& DeadLetterCap(std::size_t cap) {
-    topology_.max_dead_letters = cap;
-    return *this;
-  }
-
-  /// Arms overload control with a per-window latency SLO (ms). Each
-  /// stage gets an OverloadDetector; bolts that honor BoltContext::overload
-  /// shed admissions while the detector is tripped.
-  TopologyBuilder& LatencySlo(DurationMs slo_ms) {
-    topology_.overload.latency_slo = slo_ms;
-    return *this;
-  }
-
-  /// Replaces the shed policy (thresholds/ramp; see ShedPolicy). Only
-  /// effective together with LatencySlo.
-  TopologyBuilder& Shed(ShedPolicy policy) {
-    topology_.overload.shed = policy;
-    return *this;
-  }
-
-  /// Arms the watermark watchdog: a source that makes no progress for
-  /// `idle_ms` while the stage-0 queues sit empty is declared stalled and
-  /// the stream is closed abnormally (bolts get OnDeliveryAnomaly, then
-  /// the final watermark).
-  TopologyBuilder& WatermarkWatchdog(DurationMs idle_ms) {
-    topology_.overload.watchdog_idle = idle_ms;
-    return *this;
-  }
-
-  /// Exports the run's counters and gauges (kept per worker in every run,
-  /// see runtime/metrics.h): a final scrape in RunReport::observability,
-  /// and with `options` a periodic sampler thread (scrape_period_ms +
-  /// sink).
-  TopologyBuilder& Metrics(obs::MetricsOptions options = {}) {
-    topology_.obs.metrics_enabled = true;
-    topology_.obs.metrics = std::move(options);
-    return *this;
-  }
-
-  /// Enables per-window TraceSpan recording (decision lineage; see
-  /// obs/trace.h). `options` controls sampling and the per-worker cap.
-  TopologyBuilder& Trace(obs::TraceOptions options = {}) {
-    topology_.obs.trace_enabled = true;
-    topology_.obs.trace = options;
+    runtime_.batch_max_tuples = batch_max;
     return *this;
   }
 
@@ -238,25 +289,15 @@ class TopologyBuilder {
         return Status::Invalid("stage '" + s.name + "': " + rs.message());
       }
     }
-    if (topology_.queue_capacity == 0) {
-      return Status::Invalid("queue capacity must be > 0");
+    SPEAR_RETURN_NOT_OK(runtime_.Validate());
+    if (runtime_.checkpoint.enabled &&
+        topology_.source.spout->replayable() == nullptr) {
+      return Status::Invalid(
+          "checkpointing requires a replayable source spout");
     }
-    if (topology_.batch_max_tuples == 0) {
-      return Status::Invalid("batch_max_tuples must be > 0");
-    }
-    if (Status os = topology_.overload.Validate(); !os.ok()) return os;
-    if (Status os = topology_.obs.Validate(); !os.ok()) return os;
-    if (topology_.checkpoint.enabled) {
-      if (topology_.checkpoint.interval < 1) {
-        return Status::Invalid("checkpoint interval must be >= 1 ms");
-      }
-      if (topology_.source.spout &&
-          topology_.source.spout->replayable() == nullptr) {
-        return Status::Invalid(
-            "checkpointing requires a replayable source spout");
-      }
-    }
-    return topology_;
+    Topology topology = topology_;
+    topology.runtime = runtime_;
+    return topology;
   }
 
  private:

@@ -101,7 +101,7 @@ TEST(OverloadChaosTest, CrashWhileSheddingResumesAccountingAndHoldsClaims) {
   // Every crash recovered, and shedding stayed active across the restore.
   const std::uint64_t crashes = injector.fired(FaultSite::kWorkerCrash);
   EXPECT_GE(crashes, 1u);
-  EXPECT_EQ(report->recoveries, crashes);
+  EXPECT_EQ(report->faults.worker_restarts, crashes);
   EXPECT_GT(report->faults.snapshots, 0u);
   EXPECT_GT(report->overload.tuples_shed, 0u);
 

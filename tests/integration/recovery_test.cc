@@ -107,7 +107,6 @@ TEST(RecoveryTest, CrashChaosRunMatchesCleanRunWithExactlyOnceWindows) {
   // Every injected crash was recovered, and ≥ 2 workers died mid-run.
   const std::uint64_t crashes = injector.fired(FaultSite::kWorkerCrash);
   EXPECT_GE(crashes, 2u);
-  EXPECT_EQ(chaos_report->recoveries, crashes);
   EXPECT_EQ(chaos_report->faults.worker_restarts, crashes);
   EXPECT_GT(chaos_report->faults.snapshots, 0u);
 
@@ -182,7 +181,7 @@ TEST(RecoveryTest, ExportedCountersCountDeliveredWindowsOnce) {
       .Trace();
   auto report = Executor(std::move(*builder.Build())).Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_GE(report->recoveries, 2u);
+  ASSERT_GE(report->faults.worker_restarts, 2u);
 
   const DecisionStats total = decisions.Total();
   EXPECT_EQ(total.windows_total, report->output.size());
@@ -193,6 +192,8 @@ TEST(RecoveryTest, ExportedCountersCountDeliveredWindowsOnce) {
   EXPECT_EQ(total.tuples_seen, static_cast<std::uint64_t>(n));
   EXPECT_EQ(ScrapedTotal(*report, "tuples_seen"), total.tuples_seen);
   EXPECT_EQ(report->observability.spans.size(), report->output.size());
+  EXPECT_EQ(report->metrics.StageWindowSummary("stateful").count,
+            report->output.size());
 }
 
 // The load-bearing negative: the same crash plan without checkpointing
@@ -257,7 +258,7 @@ TEST(RecoveryTest, LossyRecoveryFlagsWindowsInsteadOfLyingAboutThem) {
   builder.InjectFaults(&injector).Checkpoint(ckpt);
   auto report = Executor(std::move(*builder.Build())).Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->recoveries, injector.fired(FaultSite::kWorkerCrash));
+  EXPECT_EQ(report->faults.worker_restarts, injector.fired(FaultSite::kWorkerCrash));
 
   std::uint64_t flagged = 0;
   for (const Tuple& t : report->output) {
@@ -339,7 +340,7 @@ TEST(RecoveryTest, CheckpointingAloneDoesNotChangeResults) {
   auto ckpt_report = Executor(std::move(*checkpointed.Build())).Run();
   ASSERT_TRUE(ckpt_report.ok());
 
-  EXPECT_EQ(ckpt_report->recoveries, 0u);
+  EXPECT_EQ(ckpt_report->faults.worker_restarts, 0u);
   EXPECT_GT(ckpt_report->faults.snapshots, 0u);
   const auto plain_windows = WindowValues(plain_report->output);
   const auto ckpt_windows = WindowValues(ckpt_report->output);
@@ -363,8 +364,8 @@ TEST(RecoveryTest, FileBackedStoreSupportsRecovery) {
   builder.InjectFaults(&injector).Checkpoint(ckpt);
   auto report = Executor(std::move(*builder.Build())).Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->recoveries, injector.fired(FaultSite::kWorkerCrash));
-  EXPECT_GE(report->recoveries, 2u);
+  EXPECT_EQ(report->faults.worker_restarts, injector.fired(FaultSite::kWorkerCrash));
+  EXPECT_GE(report->faults.worker_restarts, 2u);
   // The stateful workers' snapshot files exist on disk.
   Result<CheckpointSnapshot> latest = store.Latest("stateful", 0);
   EXPECT_TRUE(latest.ok()) << latest.status().ToString();

@@ -4,6 +4,7 @@
 
 #include <atomic>
 
+#include "core/spear_topology_builder.h"
 #include "runtime/common_bolts.h"
 #include "runtime/spouts.h"
 #include "tuple/serde.h"
@@ -407,6 +408,125 @@ TEST(TopologyBuilderTest, ValidationErrors) {
             [](int) { return std::make_unique<MapBolt>(nullptr); });
     EXPECT_TRUE(b.Build().status().IsInvalid()) << second;
   }
+}
+
+// Both builders declare the runtime knobs once (RuntimeKnobs): the same
+// settings must reach Topology::runtime, and each validated knob must fail
+// both builds alike.
+TEST(TopologyBuilderTest, BothBuildersCarryTheSameRuntimeOptions) {
+  auto set_knobs = [](auto& b, FaultInjector* injector) {
+    CheckpointConfig ckpt;
+    ckpt.interval = 250;
+    ckpt.max_recoveries_per_worker = 3;
+    ckpt.max_replay_tuples = 77;
+    ShedPolicy shed;
+    shed.shed_step = 0.3;
+    shed.max_shed_probability = 0.5;
+    obs::MetricsOptions metrics;
+    metrics.scrape_period_ms = 40;
+    metrics.sink = [](const std::string&) {};
+    obs::TraceOptions trace;
+    trace.sample_every = 3;
+    trace.max_spans = 9;
+    b.QueueCapacity(17)
+        .InjectFaults(injector)
+        .Checkpoint(ckpt)
+        .DeadLetterCap(5)
+        .LatencySlo(12)
+        .Shed(shed)
+        .WatermarkWatchdog(345)
+        .Metrics(metrics)
+        .Trace(trace);
+  };
+  auto plain = [] {
+    TopologyBuilder b;
+    b.Source(std::make_shared<VectorSpout>(NumberStream(1)));
+    b.Stage("s", 1, Partitioner::Shuffle(),
+            [](int) { return std::make_unique<MapBolt>(nullptr); });
+    return b;
+  };
+  auto cq = [] {
+    SpearTopologyBuilder b;
+    b.Source(std::make_shared<VectorSpout>(NumberStream(1)))
+        .TumblingWindowOf(10)
+        .Mean(NumericField(0));
+    return b;
+  };
+
+  FaultInjector injector{FaultPlan{}};
+  TopologyBuilder a = plain();
+  SpearTopologyBuilder b = cq();
+  set_knobs(a, &injector);
+  set_knobs(b, &injector);
+  auto ta = a.Build();
+  auto tb = b.Build();
+  ASSERT_TRUE(ta.ok()) << ta.status().ToString();
+  ASSERT_TRUE(tb.ok()) << tb.status().ToString();
+  const RuntimeOptions& ra = ta->runtime;
+  const RuntimeOptions& rb = tb->runtime;
+  EXPECT_EQ(ra.queue_capacity, 17u);
+  EXPECT_EQ(ra.queue_capacity, rb.queue_capacity);
+  EXPECT_EQ(ra.batch_max_tuples, rb.batch_max_tuples);
+  EXPECT_EQ(ra.fault_injector, &injector);
+  EXPECT_EQ(ra.fault_injector, rb.fault_injector);
+  EXPECT_TRUE(ra.checkpoint.enabled);
+  EXPECT_EQ(ra.checkpoint.enabled, rb.checkpoint.enabled);
+  EXPECT_EQ(ra.checkpoint.interval, 250);
+  EXPECT_EQ(ra.checkpoint.interval, rb.checkpoint.interval);
+  EXPECT_EQ(ra.checkpoint.max_recoveries_per_worker,
+            rb.checkpoint.max_recoveries_per_worker);
+  EXPECT_EQ(ra.checkpoint.max_replay_tuples, rb.checkpoint.max_replay_tuples);
+  EXPECT_EQ(ra.checkpoint.store, rb.checkpoint.store);
+  EXPECT_EQ(ra.max_dead_letters, 5u);
+  EXPECT_EQ(ra.max_dead_letters, rb.max_dead_letters);
+  EXPECT_EQ(ra.overload.latency_slo, 12);
+  EXPECT_EQ(ra.overload.latency_slo, rb.overload.latency_slo);
+  EXPECT_EQ(ra.overload.watchdog_idle, 345);
+  EXPECT_EQ(ra.overload.watchdog_idle, rb.overload.watchdog_idle);
+  EXPECT_EQ(ra.overload.shed.queue_high_watermark,
+            rb.overload.shed.queue_high_watermark);
+  EXPECT_EQ(ra.overload.shed.shed_step, 0.3);
+  EXPECT_EQ(ra.overload.shed.shed_step, rb.overload.shed.shed_step);
+  EXPECT_EQ(ra.overload.shed.shed_decay, rb.overload.shed.shed_decay);
+  EXPECT_EQ(ra.overload.shed.max_shed_probability,
+            rb.overload.shed.max_shed_probability);
+  EXPECT_EQ(ra.overload.shed.watermark_lag_slo,
+            rb.overload.shed.watermark_lag_slo);
+  EXPECT_TRUE(ra.obs.metrics_enabled);
+  EXPECT_EQ(ra.obs.metrics_enabled, rb.obs.metrics_enabled);
+  EXPECT_EQ(ra.obs.metrics.scrape_period_ms, 40);
+  EXPECT_EQ(ra.obs.metrics.scrape_period_ms, rb.obs.metrics.scrape_period_ms);
+  EXPECT_TRUE(ra.obs.metrics.sink && rb.obs.metrics.sink);
+  EXPECT_TRUE(ra.obs.trace_enabled);
+  EXPECT_EQ(ra.obs.trace_enabled, rb.obs.trace_enabled);
+  EXPECT_EQ(ra.obs.trace.sample_every, 3u);
+  EXPECT_EQ(ra.obs.trace.sample_every, rb.obs.trace.sample_every);
+  EXPECT_EQ(ra.obs.trace.max_spans, rb.obs.trace.max_spans);
+
+  // One invalid value per validated knob fails both builds.
+  CheckpointConfig zero_interval;
+  zero_interval.interval = 0;
+  ShedPolicy bad_shed;
+  bad_shed.shed_step = 0.0;
+  obs::MetricsOptions no_sink;
+  no_sink.scrape_period_ms = 10;
+  obs::TraceOptions no_spans;
+  no_spans.max_spans = 0;
+  auto fails_both = [&](const char* what, auto&& knob) {
+    TopologyBuilder pa = plain();
+    SpearTopologyBuilder pb = cq();
+    knob(pa);
+    knob(pb);
+    EXPECT_TRUE(pa.Build().status().IsInvalid()) << what;
+    EXPECT_TRUE(pb.Build().status().IsInvalid()) << what;
+  };
+  fails_both("queue", [](auto& x) { x.QueueCapacity(0); });
+  fails_both("checkpoint", [&](auto& x) { x.Checkpoint(zero_interval); });
+  fails_both("slo", [](auto& x) { x.LatencySlo(-1); });
+  fails_both("shed", [&](auto& x) { x.LatencySlo(10).Shed(bad_shed); });
+  fails_both("watchdog", [](auto& x) { x.WatermarkWatchdog(-1); });
+  fails_both("metrics", [&](auto& x) { x.Metrics(no_sink); });
+  fails_both("trace", [&](auto& x) { x.Trace(no_spans); });
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <set>
 
+#include "runtime/executor.h"
+#include "runtime/spouts.h"
+
 namespace spear {
 namespace {
 
@@ -120,7 +123,20 @@ TEST(WindowJoinTest, MetricsRecorded) {
   }
   ASSERT_TRUE(bolt.OnWatermark(100, &out).ok());
   EXPECT_EQ(metrics.WindowSummary().count, 1u);
-  EXPECT_EQ(metrics.tuples_out(), 1u);
+
+  // The executor's emitter counts a stage's output; the join stage of a
+  // one-match run reports exactly the one tuple it delivered.
+  TopologyBuilder builder;
+  builder.Source(std::make_shared<VectorSpout>(
+      MergeStreams({Left(1, "a", 1.0)}, {Right(2, "a", "x")})));
+  builder.Stage("join", 1, Partitioner::Shuffle(), [](int) {
+    return std::make_unique<WindowJoinBolt>(Config());
+  });
+  auto report = Executor(std::move(*builder.Build())).Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->output.size(), 1u);
+  EXPECT_EQ(report->metrics.ForStage("join")[0]->tuples_out(),
+            report->output.size());
 }
 
 }  // namespace
