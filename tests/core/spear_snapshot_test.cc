@@ -192,6 +192,84 @@ TEST(SpearSnapshotTest, SmallLossStillMeetsAccuracySpec) {
   EXPECT_LE(result.estimated_error, 0.50);
 }
 
+std::string ToHex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xf];
+  }
+  return hex;
+}
+
+constexpr char kLossFieldsPayloadHex[] =
+    "0300000000000000008000000000000000000102000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "00000000000000000000002c0000000000000000000000000000000000000000"
+    "0000000300000000000000000000000000000000000000000000000200000000"
+    "0000000000000000000000200000000000000028000000000000000200000000"
+    "000000030000000000000001010028000000000000003433333333f325409999"
+    "999999f93a40cb7a14ae4761f03f298716d94e003b400000000000707b400000"
+    "0000000024400000000000002840012000000000000000280000000000000003"
+    "0000000000000020000000000000000000000000002440000000000000284000"
+    "0000000000284000000000000024400000000000002640000000000000284000"
+    "0000000000244000000000000026400000000000002840000000000000244000"
+    "0000000000264000000000000024400000000000002440000000000000264000"
+    "0000000000284000000000000026400000000000002640000000000000284000"
+    "0000000000244000000000000026400000000000002840000000000000244000"
+    "0000000000284000000000000028400000000000002440000000000000264000"
+    "0000000000284000000000000024400000000000002640000000000000284000"
+    "0000000000244000000000000026400000000000000000006400000000000000"
+    "2000000000000000040000000000000002000000000000000000000000000000"
+    "0101010400000000000000000000000000f83f00000000000014400000000000"
+    "0000000000000000802440000000000000184000000000000000000000000000"
+    "0008400120000000000000000400000000000000000000000000000004000000"
+    "000000000000000000000000000000000000f03f000000000000004000000000"
+    "00000840000000000000000000";
+
+// Every per-window loss field survives SnapshotState/RestoreState: window
+// [0,100) carries recovery loss and admission shedding, window [100,200)
+// was truncated by an abnormal stream close (and, being open at the time,
+// also carries the recovery loss). The payload bytes pin the v3 layout —
+// per window: lost, shed, anomalous, recovered, truncated.
+TEST(SpearSnapshotTest, RoundTripKeepsEveryLossField) {
+  const SpearOperatorConfig config = MeanConfig();
+  SpearWindowManager primary(config, NumericField(0));
+  for (int i = 100; i < 104; ++i) {
+    primary.OnTuple(i, NumTuple(i, static_cast<double>(i % 5)));
+  }
+  primary.NoteStreamTruncation();
+  for (int i = 0; i < 40; ++i) {
+    primary.OnTuple(i, NumTuple(i, static_cast<double>(10 + i % 3)));
+  }
+  primary.NoteRecoveryLoss(2);
+  for (int i = 40; i < 43; ++i) primary.OnTupleShed(i);
+
+  Result<std::string> payload = primary.SnapshotState();
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  EXPECT_EQ(ToHex(*payload), kLossFieldsPayloadHex);
+
+  SpearWindowManager restored(config, NumericField(0));
+  ASSERT_TRUE(restored.RestoreState(*payload).ok());
+  auto results = restored.OnWatermark(300);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_EQ(results->size(), 2u);
+
+  const WindowResult& lossy = (*results)[0];
+  EXPECT_EQ(lossy.window_size, 45u);  // 40 admitted + 2 lost + 3 shed
+  // The budget sample still meets ε = 0.20 with the (2+3)/45 inflation.
+  EXPECT_FALSE(lossy.degraded);
+  EXPECT_TRUE(lossy.recovered);
+  EXPECT_DOUBLE_EQ(lossy.estimated_error, 0.12419368700595353);
+
+  const WindowResult& truncated = (*results)[1];
+  EXPECT_EQ(truncated.window_size, 6u);  // 4 admitted + 2 lost
+  EXPECT_TRUE(truncated.degraded);
+  EXPECT_TRUE(truncated.recovered);
+  // A full sample (ε̂ = 0) plus the 2/6 loss inflation.
+  EXPECT_DOUBLE_EQ(truncated.estimated_error, 2.0 / 6.0);
+}
+
 TEST(SpearSnapshotTest, RestoreRejectsGarbageAndWrongMode) {
   const SpearOperatorConfig config = MeanConfig();
   SpearWindowManager manager(config, NumericField(0));
