@@ -52,10 +52,6 @@ class SecondaryStorage {
   /// Unavailable when a fault is injected (the tuple is NOT stored).
   Status Store(const std::string& key, Tuple tuple);
 
-  /// Appends a batch under `key`. Unavailable when a fault is injected
-  /// (the whole batch is NOT stored — the call fails atomically).
-  Status StoreBatch(const std::string& key, std::vector<Tuple> tuples);
-
   /// Retrieves every tuple stored under `key` (the paper's get(tau_w)).
   /// NotFound when nothing was ever spilled under the key; Unavailable
   /// when a fault is injected.
