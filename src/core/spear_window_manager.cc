@@ -54,16 +54,6 @@ void AppendReservoir(std::string* out,
   for (const double v : sampler.sample()) wire::AppendF64(out, v);
 }
 
-/// The delivery-loss error inflation (AF-Stream-style bounded divergence):
-/// `lost` of the window's `count + lost` tuples never reached the budget
-/// state — replay-gap loss and admission shedding alike — so any estimate
-/// can be off by at most that mass fraction (for the mean-like aggregates
-/// SPEAr bounds in relative error).
-double LossInflation(std::uint64_t count, std::uint64_t lost) {
-  if (lost == 0) return 0.0;
-  return static_cast<double>(lost) / static_cast<double>(count + lost);
-}
-
 }  // namespace
 
 const char* SpearModeName(SpearMode mode) {
@@ -178,9 +168,7 @@ SpearWindowManager::WindowState& SpearWindowManager::StateFor(
     // Recovery loss reported while no window was active: the lost tuples'
     // windows are unknown, so charge the first window that opens (an
     // upper bound — better flagged too pessimistically than not at all).
-    state.lost = pending_lost_;
-    state.anomalous = true;
-    state.recovered = true;
+    state.loss.NoteLost(pending_lost_);
     pending_lost_ = 0;
   }
   return window_states_.emplace(window_start, std::move(state)).first->second;
@@ -222,7 +210,7 @@ void SpearWindowManager::UpdateWindowState(WindowState* state,
 }
 
 void SpearWindowManager::NotifyDeliveryAnomaly() {
-  for (auto& [start, state] : window_states_) state.anomalous = true;
+  for (auto& [start, state] : window_states_) state.loss.anomalous = true;
 }
 
 void SpearWindowManager::NoteRecoveryLoss(std::uint64_t lost_tuples) {
@@ -234,42 +222,45 @@ void SpearWindowManager::NoteRecoveryLoss(std::uint64_t lost_tuples) {
   // The lost tuples' window membership is unknown (they were never
   // replayed); charge every active window the full loss — each window's
   // ε̂_w inflation then upper-bounds the tuples it could have missed.
+  for (auto& [start, state] : window_states_) state.loss.NoteLost(lost_tuples);
+}
+
+void SpearWindowManager::NoteLateTuple(std::int64_t coord) {
+  ++decision_stats_.late_tuples;
   for (auto& [start, state] : window_states_) {
-    state.lost += lost_tuples;
-    state.anomalous = true;
-    state.recovered = true;
+    if (coord >= start && coord < start + config_.window.range) {
+      state.loss.anomalous = true;
+    }
+  }
+}
+
+void SpearWindowManager::NoteWindowStart(std::int64_t coord) {
+  const std::int64_t first = FirstWindowStartFor(config_.window, coord);
+  if (saw_any_tuple_) {
+    next_window_start_ = std::min(next_window_start_, first);
+  } else {
+    next_window_start_ = first;
+    saw_any_tuple_ = true;
   }
 }
 
 void SpearWindowManager::OnTupleShed(std::int64_t coord) {
+  // A late tuple that was shed would not have joined any active window's
+  // budget state anyway: the same anomaly accounting as OnTuple's.
   if (coord < last_watermark_) {
-    // A late tuple that was shed: same anomaly accounting as OnTuple's
-    // late path — the tuple would not have joined any active window's
-    // budget state anyway.
-    ++decision_stats_.late_tuples;
-    for (auto& [start, state] : window_states_) {
-      if (coord >= start && coord < start + config_.window.range) {
-        state.anomalous = true;
-      }
-    }
+    NoteLateTuple(coord);
     return;
   }
   ++decision_stats_.tuples_shed;
-  if (!saw_any_tuple_) {
-    next_window_start_ = FirstWindowStartFor(config_.window, coord);
-    saw_any_tuple_ = true;
-  } else {
-    next_window_start_ = std::min(
-        next_window_start_, FirstWindowStartFor(config_.window, coord));
-  }
+  NoteWindowStart(coord);
 
   // Account the drop against every window the tuple would have joined.
   // The budget state stays a uniform sample of the *admitted* subset; the
   // samplers record the skipped mass so inclusion probabilities (and the
   // count/sum rescaling) stay honest, and `shed` feeds ε̂_w inflation.
   const auto charge = [&](WindowState* state) {
-    ++state->shed;
-    state->anomalous = true;  // incremental results can no longer be exact
+    ++state->loss.shed;
+    state->loss.anomalous = true;  // incremental results can't be exact
     if (state->sample) state->sample->NoteSkipped(1);
     if (state->groups) state->groups->NoteShed(1);
   };
@@ -284,31 +275,17 @@ void SpearWindowManager::OnTupleShed(std::int64_t coord) {
 
 void SpearWindowManager::NoteStreamTruncation() {
   for (auto& [start, state] : window_states_) {
-    state.anomalous = true;
-    state.truncated = true;
+    state.loss.anomalous = state.loss.truncated = true;
   }
 }
 
 void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
   if (coord < last_watermark_) {
-    ++decision_stats_.late_tuples;
-    // Still-active windows that should have contained this tuple now hold
-    // incomplete state: flag the delivery anomaly (Sec. 4.1).
-    for (auto& [start, state] : window_states_) {
-      if (coord >= start && coord < start + config_.window.range) {
-        state.anomalous = true;
-      }
-    }
+    NoteLateTuple(coord);
     return;
   }
   ++decision_stats_.tuples_seen;
-  if (!saw_any_tuple_) {
-    next_window_start_ = FirstWindowStartFor(config_.window, coord);
-    saw_any_tuple_ = true;
-  } else {
-    next_window_start_ =
-        std::min(next_window_start_, FirstWindowStartFor(config_.window, coord));
-  }
+  NoteWindowStart(coord);
 
   // Alg. 1: update the budget state of every window the tuple joins
   // (tumbling fast path avoids the per-tuple window-list allocation).
@@ -346,14 +323,11 @@ void SpearWindowManager::ReportRetries(const TupleCustody::Retries& retries) {
 
 Result<ScalarEstimate> SpearWindowManager::EstimateScalarForState(
     const WindowState& state) {
-  // Window size for estimation is the *population* the sample stands for:
-  // admitted tuples plus tuples shed at admission. Count/sum estimates
-  // then stay centered under uniform shedding (count+shed is exact; sum
-  // scales the sample mean to the full population), and any non-uniform
-  // shedding bias is covered by the ε̂_w shed inflation in DecideWindow.
-  const std::uint64_t population = ignore_loss_accounting_
-                                       ? state.count
-                                       : state.count + state.shed;
+  // Count/sum estimates stay centered under uniform shedding (sum scales
+  // the sample mean to the full population), and any non-uniform shedding
+  // bias is covered by the ε̂_w inflation in DecideWindow.
+  const std::uint64_t population =
+      state.loss.Population(state.count, ignore_loss_accounting_);
   if (config_.custom_estimator) {
     return config_.custom_estimator(state.sample->sample(), state.stats,
                                     population, config_.accuracy);
@@ -509,15 +483,13 @@ void SpearWindowManager::CorruptBudgetForTesting() {
 Result<WindowResult> SpearWindowManager::MakeDegradedResult(
     const WindowBounds& bounds, WindowState* state) {
   const double inflate =
-      ignore_loss_accounting_
-          ? 0.0
-          : LossInflation(state->count, state->lost + state->shed);
+      state->loss.Inflation(state->count, ignore_loss_accounting_);
   WindowResult result;
   result.bounds = bounds;
-  result.window_size = state->count + state->lost + state->shed;
+  result.window_size = state->loss.Arrivals(state->count);
   result.approximate = true;
   result.degraded = true;
-  result.recovered = state->recovered;
+  result.recovered = state->loss.recovered;
 
   switch (mode_) {
     case SpearMode::kScalarIncremental:
@@ -591,9 +563,7 @@ Result<WindowResult> SpearWindowManager::DecideWindow(
   // the recovery-loss + shed ratio still meets the spec — the AF-Stream
   // contract folded into the paper's expedite test.
   const double inflate =
-      ignore_loss_accounting_
-          ? 0.0
-          : LossInflation(state->count, state->lost + state->shed);
+      state->loss.Inflation(state->count, ignore_loss_accounting_);
   const auto meets_spec = [&](double epsilon_hat) {
     return inflate == 0.0 ||
            epsilon_hat + inflate <= config_.accuracy.epsilon;
@@ -601,8 +571,8 @@ Result<WindowResult> SpearWindowManager::DecideWindow(
 
   WindowResult result;
   result.bounds = bounds;
-  result.window_size = state->count + state->lost + state->shed;
-  result.recovered = state->recovered;
+  result.window_size = state->loss.Arrivals(state->count);
+  result.recovered = state->loss.recovered;
 
   // Corrupted budget state means no estimate can be trusted: fall back to
   // the exact path (the safe direction of the degradation trade).
@@ -613,7 +583,7 @@ Result<WindowResult> SpearWindowManager::DecideWindow(
 
   switch (mode_) {
     case SpearMode::kScalarIncremental: {
-      if (!state->anomalous) {
+      if (!state->loss.anomalous) {
         // Exact result from the running accumulator; no watermark-time
         // work.
         SPEAR_ASSIGN_OR_RETURN(result.scalar,
@@ -740,9 +710,10 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
   while (!window_states_.empty() &&
          window_states_.begin()->first + config_.window.range <= watermark) {
     auto state_it = window_states_.begin();
+    WindowState& state = state_it->second;
     const WindowBounds bounds{state_it->first,
                               state_it->first + config_.window.range};
-    if (state_it->second.count > 0) {
+    if (state.count > 0) {
       ++decision_stats_.windows_total;
       bool needs_scan = false;
       bool needs_exact = false;
@@ -751,7 +722,6 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
 
       std::int64_t window_ns = 0;
       WindowResult result;
-      const bool recovered_window = state_it->second.recovered;
       // Unspilling empties the run, so capture participation now.
       const bool had_spill = custody_.HasSpilled();
       {
@@ -761,7 +731,7 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
         // here is survivable: the decision below falls back to the
         // tracker-only degraded path.
         bool unspill_failed = false;
-        if (mode_ == SpearMode::kGroupedUnknown && !recovered_window &&
+        if (mode_ == SpearMode::kGroupedUnknown && !state.loss.recovered &&
             custody_.HasSpilled()) {
           const Status fetched = unspill();
           if (!fetched.ok()) {
@@ -773,40 +743,36 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
         // decision demands exact. Holistic grouped-unknown windows cannot
         // (their degraded result needs the raw window).
         const bool can_degrade =
-            !BudgetStateCorrupted(state_it->second) &&
+            !BudgetStateCorrupted(state) &&
             !(mode_ == SpearMode::kGroupedUnknown &&
               config_.aggregate.IsHolistic());
-        if (state_it->second.truncated && can_degrade) {
+        if (state.loss.truncated && can_degrade) {
           // The stream was closed abnormally under this window (watchdog):
           // an unknown suffix is missing, so no accuracy claim can be
           // verified — emit the budget estimate, flagged degraded.
-          SPEAR_ASSIGN_OR_RETURN(
-              result, MakeDegradedResult(bounds, &state_it->second));
+          SPEAR_ASSIGN_OR_RETURN(result, MakeDegradedResult(bounds, &state));
           degraded = true;
         } else if (unspill_failed) {
           needs_exact = true;
-        } else if (mode_ == SpearMode::kGroupedUnknown && recovered_window &&
-                   !BudgetStateCorrupted(state_it->second)) {
+        } else if (mode_ == SpearMode::kGroupedUnknown &&
+                   state.loss.recovered && !BudgetStateCorrupted(state)) {
           // A restored window's raw buffer is incomplete (snapshots are
           // O(b)), so the stratified-sample scan cannot run: answer from
           // the tracker alone, flagged.
-          SPEAR_ASSIGN_OR_RETURN(
-              result, MakeDegradedResult(bounds, &state_it->second));
+          SPEAR_ASSIGN_OR_RETURN(result, MakeDegradedResult(bounds, &state));
           degraded = true;
         } else {
           SPEAR_ASSIGN_OR_RETURN(
-              result, DecideWindow(bounds, &state_it->second, &needs_scan,
-                                   &needs_exact));
+              result, DecideWindow(bounds, &state, &needs_scan, &needs_exact));
         }
         if (needs_exact && !degraded) {
-          if ((recovered_window || state_it->second.shed > 0) &&
-              !BudgetStateCorrupted(state_it->second)) {
+          if (state.loss.RawWindowIncomplete() &&
+              !BudgetStateCorrupted(state)) {
             // An "exact" result would be silently wrong: a recovered
             // window's post-restore buffer is partial, and a shed window's
             // buffer is missing every tuple dropped at admission. Degrade
             // to the budget estimate with the loss-inflated ε̂_w instead.
-            SPEAR_ASSIGN_OR_RETURN(
-                result, MakeDegradedResult(bounds, &state_it->second));
+            SPEAR_ASSIGN_OR_RETURN(result, MakeDegradedResult(bounds, &state));
             degraded = true;
           } else {
             // Alg. 2 line 5: g(S.get(tau_w)) — the whole window, possibly
@@ -827,7 +793,7 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
               if (deadline_ns != 0 && NowNs() > deadline_ns) {
                 // The unspill alone blew the budget.
                 SPEAR_ASSIGN_OR_RETURN(
-                    result, MakeDegradedResult(bounds, &state_it->second));
+                    result, MakeDegradedResult(bounds, &state));
                 degraded = true;
                 deadline_aborted = true;
                 ++decision_stats_.deadline_aborts;
@@ -836,7 +802,7 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
                     MaterializeWindow(bounds, deadline_ns);
                 if (!window.ok() && window.status().IsCancelled()) {
                   SPEAR_ASSIGN_OR_RETURN(
-                      result, MakeDegradedResult(bounds, &state_it->second));
+                      result, MakeDegradedResult(bounds, &state));
                   degraded = true;
                   deadline_aborted = true;
                   ++decision_stats_.deadline_aborts;
@@ -847,11 +813,11 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
                 }
               }
             } else if (fetched.IsUnavailable() &&
-                       !BudgetStateCorrupted(state_it->second)) {
+                       !BudgetStateCorrupted(state)) {
               // The exact fallback cannot run (S stayed unavailable after
               // retries). Degrade: emit the budget estimate, flagged.
               SPEAR_ASSIGN_OR_RETURN(
-                  result, MakeDegradedResult(bounds, &state_it->second));
+                  result, MakeDegradedResult(bounds, &state));
               degraded = true;
             } else {
               return fetched;
@@ -860,11 +826,11 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
         }
       }
       result.processing_ns = window_ns;
-      if (recovered_window) {
+      if (state.loss.recovered) {
         result.recovered = true;  // survives the exact-path overwrite
         ++decision_stats_.windows_recovered;
       }
-      if (state_it->second.shed > 0) ++decision_stats_.windows_shed;
+      if (state.loss.shed > 0) ++decision_stats_.windows_shed;
       if (degraded) {
         ++decision_stats_.windows_degraded;
       } else if (needs_exact) {
@@ -873,7 +839,6 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
         ++decision_stats_.windows_expedited;
       }
       if (tracer_ != nullptr) {
-        const WindowState& ws = state_it->second;
         obs::TraceSpan span;
         span.stage = span_stage_;
         span.task = span_task_;
@@ -884,24 +849,22 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
                        : needs_exact ? Verdict::kExact
                                      : Verdict::kExpedited;
         span.approximate = result.approximate;
-        span.arrivals = ws.count + ws.lost + ws.shed;
+        span.arrivals = state.loss.Arrivals(state.count);
         span.processed = result.tuples_processed;
-        span.shed = ws.shed;
-        span.lost = ws.lost;
-        span.budget = ws.budget;
+        span.shed = state.loss.shed;
+        span.lost = state.loss.lost;
+        span.budget = state.budget;
         span.epsilon_spec = config_.accuracy.epsilon;
         span.alpha_spec = config_.accuracy.confidence;
         if (result.approximate) {
           span.epsilon_hat = result.estimated_error;
           span.loss_inflation =
-              ignore_loss_accounting_
-                  ? 0.0
-                  : LossInflation(ws.count, ws.lost + ws.shed);
+              state.loss.Inflation(state.count, ignore_loss_accounting_);
           span.epsilon_sampling =
               std::max(0.0, span.epsilon_hat - span.loss_inflation);
         }
-        span.recovered = recovered_window;
-        span.truncated = ws.truncated;
+        span.recovered = state.loss.recovered;
+        span.truncated = state.loss.truncated;
         span.spilled = had_spill;
         span.deadline_abort = deadline_aborted;
         span.processing_ns = window_ns;
@@ -977,11 +940,11 @@ Result<std::string> SpearWindowManager::SnapshotState() const {
     wire::AppendI64(&out, start);
     wire::AppendU64(&out, state.budget);
     wire::AppendU64(&out, state.count);
-    wire::AppendU64(&out, state.lost);
-    wire::AppendU64(&out, state.shed);
-    wire::AppendU8(&out, state.anomalous ? 1 : 0);
-    wire::AppendU8(&out, state.recovered ? 1 : 0);
-    wire::AppendU8(&out, state.truncated ? 1 : 0);
+    wire::AppendU64(&out, state.loss.lost);
+    wire::AppendU64(&out, state.loss.shed);
+    wire::AppendU8(&out, state.loss.anomalous ? 1 : 0);
+    wire::AppendU8(&out, state.loss.recovered ? 1 : 0);
+    wire::AppendU8(&out, state.loss.truncated ? 1 : 0);
     AppendRunningStats(&out, state.stats);
     wire::AppendU8(&out, state.sample ? 1 : 0);
     if (state.sample) AppendReservoir(&out, *state.sample);
@@ -1051,17 +1014,16 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
     WindowState state;
     SPEAR_ASSIGN_OR_RETURN(state.budget, reader.ReadU64());
     SPEAR_ASSIGN_OR_RETURN(state.count, reader.ReadU64());
-    SPEAR_ASSIGN_OR_RETURN(state.lost, reader.ReadU64());
-    SPEAR_ASSIGN_OR_RETURN(state.shed, reader.ReadU64());
+    SPEAR_ASSIGN_OR_RETURN(state.loss.lost, reader.ReadU64());
+    SPEAR_ASSIGN_OR_RETURN(state.loss.shed, reader.ReadU64());
     SPEAR_ASSIGN_OR_RETURN(const std::uint8_t anomalous, reader.ReadU8());
-    state.anomalous = anomalous != 0;
-    SPEAR_ASSIGN_OR_RETURN(const std::uint8_t recovered, reader.ReadU8());
-    (void)recovered;
+    state.loss.anomalous = anomalous != 0;
     // Every restored window is a recovered window, whatever it was when
     // snapshotted: its raw buffer did not survive.
-    state.recovered = true;
+    SPEAR_RETURN_NOT_OK(reader.ReadU8().status());
+    state.loss.recovered = true;
     SPEAR_ASSIGN_OR_RETURN(const std::uint8_t truncated, reader.ReadU8());
-    state.truncated = truncated != 0;
+    state.loss.truncated = truncated != 0;
     SPEAR_ASSIGN_OR_RETURN(state.stats, ReadRunningStats(&reader));
 
     SPEAR_ASSIGN_OR_RETURN(const std::uint8_t has_sample, reader.ReadU8());

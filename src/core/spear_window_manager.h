@@ -184,6 +184,46 @@ class SpearWindowManager {
   }
 
  private:
+  /// One window's loss accounting: the only code that knows what lost,
+  /// shed and late tuples do to the window's arrivals, its ε̂_w and its raw
+  /// buffer. `count` is the window's admitted tuples; `ignored` is the
+  /// IgnoreLossAccountingForTesting hook.
+  struct WindowLoss {
+    std::uint64_t lost = 0;  ///< consumed tuples lost in recovery
+    std::uint64_t shed = 0;  ///< tuples shed at admission (exact count)
+    /// Delivery anomaly (late, lost or shed tuples): incremental results
+    /// are no longer exact, so SPEAr answers from the sample + accuracy
+    /// estimate (paper Sec. 4.1: "SPEAr uses b's contents only when an
+    /// anomaly is detected in tuple delivery").
+    bool anomalous = false;
+    bool recovered = false;  ///< lived through a crash/restore cycle
+    /// The stream closed abnormally under the window (watchdog): an
+    /// unknown suffix is missing, so the window must emit degraded.
+    bool truncated = false;
+
+    void NoteLost(std::uint64_t tuples) {
+      lost += tuples;
+      anomalous = recovered = true;
+    }
+    std::uint64_t Arrivals(std::uint64_t count) const {
+      return count + lost + shed;
+    }
+    /// The population the sample stands for: sheds are counted exactly.
+    std::uint64_t Population(std::uint64_t count, bool ignored) const {
+      return ignored ? count : count + shed;
+    }
+    /// AF-Stream-style ε̂_w inflation: the fraction of arrivals that never
+    /// reached the budget state bounds how far an estimate can be off.
+    double Inflation(std::uint64_t count, bool ignored) const {
+      if (ignored || lost + shed == 0) return 0.0;
+      return static_cast<double>(lost + shed) /
+             static_cast<double>(Arrivals(count));
+    }
+    /// The raw buffer misses tuples: a restore emptied custody, or shed
+    /// tuples never entered it.
+    bool RawWindowIncomplete() const { return recovered || shed > 0; }
+  };
+
   /// Budget state of one active window.
   struct WindowState {
     /// Sample budget this window was opened with (fixed-budget managers
@@ -191,25 +231,7 @@ class SpearWindowManager {
     /// controller at window creation).
     std::size_t budget = 0;
     std::uint64_t count = 0;               ///< |S_w| so far (exact)
-    /// Delivery anomaly observed while this window was active (late or
-    /// dropped tuples): incremental results can no longer be trusted as
-    /// exact, so SPEAr falls back to the sample + accuracy estimate
-    /// (paper Sec. 4.1: "SPEAr uses b's contents only when an anomaly is
-    /// detected in tuple delivery").
-    bool anomalous = false;
-    /// The window lived through a crash/restore cycle: its raw buffer is
-    /// incomplete, so exact fallback and buffer scans are unavailable.
-    bool recovered = false;
-    /// Consumed tuples lost from this window's budget state in recovery
-    /// (beyond the replay log); inflates ε̂_w by lost/(count+lost).
-    std::uint64_t lost = 0;
-    /// Tuples shed at admission while this window was active (exact
-    /// count, unlike `lost`); inflates ε̂_w together with `lost` and
-    /// rescales count/sum estimates to the population count+shed.
-    std::uint64_t shed = 0;
-    /// The stream closed abnormally under this window (watchdog): an
-    /// unknown suffix is missing, so the window must emit degraded.
-    bool truncated = false;
+    WindowLoss loss;
     RunningStats stats;                    ///< full-window moments (scalar)
     std::unique_ptr<ReservoirSampler<double>> sample;  ///< scalar modes
     std::unique_ptr<GroupStatsTracker> groups;         ///< grouped modes
@@ -222,6 +244,13 @@ class SpearWindowManager {
 
   WindowState& StateFor(std::int64_t window_start);
   void UpdateWindowState(WindowState* state, const Tuple& tuple);
+
+  /// Counts a tuple behind the watermark and flags the delivery anomaly on
+  /// the still-active windows that should have contained it (Sec. 4.1).
+  void NoteLateTuple(std::int64_t coord);
+
+  /// Lowers the first window start still needed to cover `coord`.
+  void NoteWindowStart(std::int64_t coord);
 
   /// Decides + produces the result for one complete window. Sets
   /// `needs_tuples` when the exact fallback (or the grouped stratified
