@@ -1,7 +1,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -18,13 +17,11 @@
 /// per-tuple Push/Pop channel and is the baseline every other row is
 /// normalized against, so the micro-batching win is measured, not asserted.
 ///
-///   bench_channel_throughput [--tuples N] [--json FILE] [--metrics]
+///   bench_channel_throughput [--tuples N] [--metrics]
 ///
-/// --json writes the full result grid as JSON (BENCH_channel.json keeps the
-/// committed baseline for the perf trajectory across PRs). --metrics runs
-/// the same grid with `.Metrics().Trace()` enabled, so the observability
-/// overhead on the hot channel path can be compared against the committed
-/// baseline (it must stay within run-to-run noise).
+/// --metrics runs the same grid with `.Metrics().Trace()` enabled, so the
+/// observability overhead on the hot channel path can be compared against
+/// a run without it (it must stay within run-to-run noise).
 
 namespace spear::bench {
 namespace {
@@ -46,7 +43,6 @@ struct DrainBolt : Bolt {
 struct Measurement {
   int workers = 0;
   std::size_t batch = 0;
-  std::size_t tuples = 0;
   std::int64_t wall_ns = 0;
   double tuples_per_sec = 0.0;
 };
@@ -76,7 +72,6 @@ Measurement RunOnce(const std::vector<Tuple>& tuples, int workers,
   Measurement m;
   m.workers = workers;
   m.batch = batch;
-  m.tuples = tuples.size();
   m.wall_ns = wall;
   m.tuples_per_sec = static_cast<double>(tuples.size()) /
                      (static_cast<double>(wall) * 1e-9);
@@ -85,18 +80,14 @@ Measurement RunOnce(const std::vector<Tuple>& tuples, int workers,
 
 int Main(int argc, char** argv) {
   std::size_t num_tuples = 300'000;
-  std::string json_path;
   bool metrics = false;
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--tuples") == 0 && a + 1 < argc) {
       num_tuples = static_cast<std::size_t>(std::stoull(argv[++a]));
-    } else if (std::strcmp(argv[a], "--json") == 0 && a + 1 < argc) {
-      json_path = argv[++a];
     } else if (std::strcmp(argv[a], "--metrics") == 0) {
       metrics = true;
     } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--tuples N] [--json FILE] [--metrics]\n";
+      std::cerr << "usage: " << argv[0] << " [--tuples N] [--metrics]\n";
       return 2;
     }
   }
@@ -157,24 +148,6 @@ int Main(int argc, char** argv) {
               speedup});
   }
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"channel_throughput\",\n"
-        << "  \"topology\": \"source -> forward -> drain (shuffle)\",\n"
-        << "  \"observability\": " << (metrics ? "true" : "false") << ",\n"
-        << "  \"tuples\": " << num_tuples << ",\n  \"results\": [\n";
-    for (std::size_t k = 0; k < results.size(); ++k) {
-      const Measurement& m = results[k];
-      out << "    {\"workers_per_stage\": " << m.workers
-          << ", \"batch_max_tuples\": " << m.batch
-          << ", \"wall_ns\": " << m.wall_ns
-          << ", \"tuples_per_sec\": " << static_cast<std::uint64_t>(
-                 m.tuples_per_sec)
-          << "}" << (k + 1 < results.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
   return 0;
 }
 

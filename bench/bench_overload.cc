@@ -1,6 +1,5 @@
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -19,20 +18,15 @@
 /// per configuration: wall time, p50/p99 per-window processing latency,
 /// shed ratio, and time spent blocked on full queues.
 ///
-///   bench_overload [--tuples N] [--json FILE]
-///
-/// --json writes the results as JSON (BENCH_overload.json keeps the
-/// committed baseline for the trajectory across PRs).
+///   bench_overload [--tuples N]
 
 namespace spear::bench {
 namespace {
 
 struct Measurement {
   std::string config;
-  std::size_t tuples = 0;
   std::int64_t wall_ns = 0;
   MetricSummary window_ns;
-  std::uint64_t tuples_shed = 0;
   double shed_ratio = 0.0;
   std::int64_t backpressure_ns = 0;
   std::uint64_t degraded_windows = 0;
@@ -85,12 +79,10 @@ Measurement RunOnce(const std::vector<Tuple>& tuples, bool overload_control) {
   }
   Measurement m;
   m.config = overload_control ? "on" : "off";
-  m.tuples = tuples.size();
   m.wall_ns = wall;
   m.window_ns = report->metrics.StageWindowSummary(
       SpearTopologyBuilder::StatefulStageName());
-  m.tuples_shed = report->overload.tuples_shed;
-  m.shed_ratio = static_cast<double>(m.tuples_shed) /
+  m.shed_ratio = static_cast<double>(report->overload.tuples_shed) /
                  static_cast<double>(tuples.size());
   m.backpressure_ns = report->overload.backpressure_wait_ns;
   m.degraded_windows = report->faults.degraded_windows;
@@ -99,14 +91,11 @@ Measurement RunOnce(const std::vector<Tuple>& tuples, bool overload_control) {
 
 int Main(int argc, char** argv) {
   std::size_t num_tuples = 40'000;
-  std::string json_path;
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--tuples") == 0 && a + 1 < argc) {
       num_tuples = static_cast<std::size_t>(std::stoull(argv[++a]));
-    } else if (std::strcmp(argv[a], "--json") == 0 && a + 1 < argc) {
-      json_path = argv[++a];
     } else {
-      std::cerr << "usage: " << argv[0] << " [--tuples N] [--json FILE]\n";
+      std::cerr << "usage: " << argv[0] << " [--tuples N]\n";
       return 2;
     }
   }
@@ -141,27 +130,6 @@ int Main(int argc, char** argv) {
               FmtCount(m.degraded_windows)});
   }
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"overload\",\n"
-        << "  \"workload\": \"storage-bound stateful stage, 2x "
-           "over-capacity source\",\n"
-        << "  \"tuples\": " << num_tuples << ",\n  \"results\": [\n";
-    for (int k = 0; k < 2; ++k) {
-      const Measurement& m = results[k];
-      out << "    {\"overload_control\": \"" << m.config << "\""
-          << ", \"wall_ns\": " << m.wall_ns
-          << ", \"window_p50_ns\": " << m.window_ns.p50
-          << ", \"window_p99_ns\": " << m.window_ns.p99
-          << ", \"tuples_shed\": " << m.tuples_shed
-          << ", \"shed_ratio\": " << m.shed_ratio
-          << ", \"backpressure_wait_ns\": " << m.backpressure_ns
-          << ", \"degraded_windows\": " << m.degraded_windows << "}"
-          << (k == 0 ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
   return 0;
 }
 

@@ -18,10 +18,21 @@ cmake --build "$ROOT/$BUILD_DIR" -j"$(nproc)" \
   spear_recovery_tests spear_overload_tests
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
-"$ROOT/$BUILD_DIR/tests/spear_common_tests" --gtest_filter='Fault*:Retry*:Backoff*'
-"$ROOT/$BUILD_DIR/tests/spear_substrate_tests" --gtest_filter='SecondaryStorage*'
-"$ROOT/$BUILD_DIR/tests/spear_runtime_tests" \
-  --gtest_filter='Supervision*:Chaos*:Executor*'
-"$ROOT/$BUILD_DIR/tests/spear_recovery_tests"
-"$ROOT/$BUILD_DIR/tests/spear_overload_tests"
+# Every suite runs even after one fails, so one failure cannot hide the
+# verdict on the suites after it; the script fails at the end, naming them.
+failed=()
+run_suite() {  # run_suite <suite> [gtest flags...]
+  local suite="$1"
+  shift
+  "$ROOT/$BUILD_DIR/tests/$suite" "$@" || failed+=("$suite")
+}
+run_suite spear_common_tests --gtest_filter='Fault*:Retry*:Backoff*'
+run_suite spear_substrate_tests --gtest_filter='SecondaryStorage*'
+run_suite spear_runtime_tests --gtest_filter='Supervision*:Chaos*:Executor*'
+run_suite spear_recovery_tests
+run_suite spear_overload_tests
+if [ ${#failed[@]} -gt 0 ]; then
+  echo "ASan: failed suites: ${failed[*]}" >&2
+  exit 1
+fi
 echo "ASan: fault-injection + supervision + recovery + overload suites clean"

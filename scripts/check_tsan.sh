@@ -20,9 +20,21 @@ cmake --build "$ROOT/$BUILD_DIR" -j"$(nproc)" \
 # halt_on_error makes the suite fail on the first race instead of
 # reporting and continuing with an exit code gtest would swallow.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
-"$ROOT/$BUILD_DIR/tests/spear_common_tests"
-"$ROOT/$BUILD_DIR/tests/spear_runtime_tests"
-"$ROOT/$BUILD_DIR/tests/spear_recovery_tests"
-"$ROOT/$BUILD_DIR/tests/spear_overload_tests"
-"$ROOT/$BUILD_DIR/tests/spear_obs_tests"
+# Every suite runs even after one fails, so one failure cannot hide the
+# verdict on the suites after it; the script fails at the end, naming them.
+failed=()
+run_suite() {  # run_suite <suite> [gtest flags...]
+  local suite="$1"
+  shift
+  "$ROOT/$BUILD_DIR/tests/$suite" "$@" || failed+=("$suite")
+}
+run_suite spear_common_tests
+run_suite spear_runtime_tests
+run_suite spear_recovery_tests
+run_suite spear_overload_tests
+run_suite spear_obs_tests
+if [ ${#failed[@]} -gt 0 ]; then
+  echo "TSan: failed suites: ${failed[*]}" >&2
+  exit 1
+fi
 echo "TSan: common + runtime + recovery + overload + obs suites clean"

@@ -22,9 +22,21 @@ cmake --build "$ROOT/$BUILD_DIR" -j"$(nproc)" \
 # -fno-sanitize-recover=all already aborts on the first report; print
 # stacks so a failure is diagnosable from CI logs alone.
 export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
-"$ROOT/$BUILD_DIR/tests/spear_common_tests"
-"$ROOT/$BUILD_DIR/tests/spear_overload_tests"
-"$ROOT/$BUILD_DIR/tests/spear_runtime_tests"
-"$ROOT/$BUILD_DIR/tests/spear_recovery_tests"
-"$ROOT/$BUILD_DIR/tests/spear_obs_tests"
+# Every suite runs even after one fails, so one failure cannot hide the
+# verdict on the suites after it; the script fails at the end, naming them.
+failed=()
+run_suite() {  # run_suite <suite> [gtest flags...]
+  local suite="$1"
+  shift
+  "$ROOT/$BUILD_DIR/tests/$suite" "$@" || failed+=("$suite")
+}
+run_suite spear_common_tests
+run_suite spear_overload_tests
+run_suite spear_runtime_tests
+run_suite spear_recovery_tests
+run_suite spear_obs_tests
+if [ ${#failed[@]} -gt 0 ]; then
+  echo "UBSan: failed suites: ${failed[*]}" >&2
+  exit 1
+fi
 echo "UBSan: common + overload + runtime + recovery + obs suites clean"
