@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
+#include "core/spear_topology_builder.h"
 #include "runtime/countmin_bolt.h"
+#include "runtime/executor.h"
+#include "runtime/spouts.h"
+#include "storage/secondary_storage.h"
 
 namespace spear {
 namespace {
@@ -132,6 +137,52 @@ TEST(ExactWindowedBoltTest, MultiBufferRejectsSpill) {
   config.memory_capacity = 10;
   ExactWindowedBolt bolt(std::move(config));
   EXPECT_TRUE(bolt.Prepare(BoltContext{}).IsInvalid());
+}
+
+// A count window closes inside Execute, after the tuple is ingested. A
+// transient failure there (the unspill's Unavailable) must not reach the
+// executor as retryable: a retry would ingest the tuple a second time and
+// shift every later window by one.
+TEST(ExactWindowedBoltTest, TransientCountWindowFailureIsNotReingested) {
+  FaultPlan plan;
+  FaultRule get_fault;
+  get_fault.site = FaultSite::kStorageGet;
+  get_fault.every_nth = 1;
+  get_fault.max_fires = 1;  // one-shot
+  plan.Add(get_fault);
+  FaultInjector injector(plan);
+  SecondaryStorage storage;
+  storage.InjectFaults(&injector);
+
+  std::vector<Tuple> input;
+  for (int i = 0; i < 20; ++i) input.push_back(VT(i, i));
+  RetryPolicy retry;
+  retry.max_attempts = 3;
+  retry.initial_backoff_ns = 10'000;
+  retry.max_backoff_ns = 100'000;
+
+  SpearTopologyBuilder builder;
+  builder.Source(std::make_shared<VectorSpout>(std::move(input)))
+      .TumblingCountWindowOf(10)
+      .Sum(NumericField(0))
+      .SpillOver(/*memory_capacity=*/4, &storage)
+      .StageRetry(retry)
+      .Engine(ExecutionEngine::kExact)
+      .Parallelism(1);
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok()) << topology.status().ToString();
+  auto report = Executor(std::move(*topology)).Run();
+  ASSERT_GT(injector.total_fired(), 0u);
+  if (report.ok()) {
+    for (const Tuple& t : report->output) {
+      if (t.field(ResultTupleLayout::kStart).AsInt64() != 10) continue;
+      EXPECT_EQ(t.field(ResultTupleLayout::kEnd).AsInt64(), 20);
+      EXPECT_DOUBLE_EQ(
+          t.field(ResultTupleLayout::kScalarValue).AsDouble(), 145.0);
+    }
+  }
+  ASSERT_FALSE(report.ok()) << "a non-idempotent failure must end the run";
+  EXPECT_FALSE(report.status().IsUnavailable()) << report.status().ToString();
 }
 
 TEST(IncrementalWindowedBoltTest, MatchesExactMean) {
