@@ -8,7 +8,8 @@ SpearBolt::SpearBolt(SpearOperatorConfig config,
                      ValueExtractor value_extractor,
                      KeyExtractor key_extractor, SecondaryStorage* storage,
                      DecisionStatsCollector* decision_sink)
-    : config_(std::move(config)),
+    : WindowedBolt(config.window),
+      config_(std::move(config)),
       value_extractor_(std::move(value_extractor)),
       key_extractor_(std::move(key_extractor)),
       storage_(storage),
@@ -43,7 +44,7 @@ Status SpearBolt::Finish(Emitter* out) {
 }
 
 Status SpearBolt::Prepare(const BoltContext& ctx) {
-  metrics_ = ctx.metrics;
+  SPEAR_RETURN_NOT_OK(WindowedBolt::Prepare(ctx));
   overload_ = ctx.overload;
   // Per-task shed stream, decorrelated from the reservoir samplers so the
   // drop decision never interacts with replacement choices.
@@ -66,25 +67,14 @@ Status SpearBolt::OnDeliveryAnomaly(Emitter* out) {
   return Status::OK();
 }
 
-Status SpearBolt::Execute(const Tuple& tuple, Emitter* out) {
+Status SpearBolt::Ingest(std::int64_t coord, const Tuple& tuple) {
   // Accuracy-aware load shedding happens before any other admission work:
   // a shed tuple is charged to its window's ε̂_w but costs neither
   // validation nor ingestion, which is what relieves an overloaded stage.
   if (overload_ != nullptr) {
     const double p = overload_->shed_probability();
     if (p > 0.0 && shed_rng_.NextDouble() < p) {
-      const std::int64_t coord = config_.window.type == WindowType::kCountBased
-                                     ? sequence_++
-                                     : tuple.event_time();
       manager_->OnTupleShed(coord);
-      if (config_.window.type == WindowType::kCountBased) {
-        Status emitted = ProcessWatermark(sequence_, out);
-        if (!emitted.ok() && emitted.IsUnavailable()) {
-          return Status::Internal("window emission failed after retries: " +
-                                  emitted.message());
-        }
-        return emitted;
-      }
       return Status::OK();
     }
   }
@@ -92,54 +82,27 @@ Status SpearBolt::Execute(const Tuple& tuple, Emitter* out) {
   // error the supervised executor quarantines; nothing was ingested, so
   // window state stays consistent.
   if (config_.validate) SPEAR_RETURN_NOT_OK(config_.validate(tuple));
-  std::int64_t coord;
-  if (config_.window.type == WindowType::kCountBased) {
-    coord = sequence_++;
-  } else {
-    coord = tuple.event_time();
-  }
   manager_->OnTuple(coord, tuple);
-  if (config_.window.type == WindowType::kCountBased) {
-    // The tuple is already ingested, so this Execute is no longer
-    // idempotent: a transient emission failure must not look retryable to
-    // the supervising executor (a retry would double-ingest the tuple).
-    Status emitted = ProcessWatermark(sequence_, out);
-    if (!emitted.ok() && emitted.IsUnavailable()) {
-      return Status::Internal("window emission failed after retries: " +
-                              emitted.message());
-    }
-    return emitted;
-  }
   return Status::OK();
 }
 
-Status SpearBolt::OnWatermark(Timestamp watermark, Emitter* out) {
-  if (config_.window.type == WindowType::kCountBased) return Status::OK();
-  return ProcessWatermark(watermark, out);
-}
-
-Status SpearBolt::ProcessWatermark(std::int64_t watermark, Emitter* out) {
+Status SpearBolt::CloseWindows(std::int64_t watermark, Emitter* out) {
   Result<std::vector<WindowResult>> results =
       manager_->OnWatermark(watermark);
   if (!results.ok()) return results.status();
 
-  for (WindowResult& result : *results) {
+  for (const WindowResult& result : *results) {
     if (overload_ != nullptr) {
       overload_->ObserveWindowLatency(result.processing_ns);
     }
-    if (metrics_ != nullptr) {
-      metrics_->RecordWindowNs(result.processing_ns);
-      // Memory used for producing the result: the budget state when
-      // expedited, the materialized window when exact (Fig. 7 semantics).
-      if (result.approximate) {
-        metrics_->RecordMemoryBytes(result.tuples_processed * sizeof(double) +
-                                    sizeof(RunningStats));
-      } else {
-        metrics_->RecordMemoryBytes(result.window_size *
-                                    (sizeof(Tuple) + 2 * sizeof(Value)));
-      }
-    }
-    for (Tuple& t : WindowResultToTuples(result)) out->Emit(std::move(t));
+    // Memory used for producing the result: the budget state when
+    // expedited, the materialized window when exact (Fig. 7 semantics).
+    Deliver(result,
+            result.approximate
+                ? result.tuples_processed * sizeof(double) +
+                      sizeof(RunningStats)
+                : result.window_size * (sizeof(Tuple) + 2 * sizeof(Value)),
+            out);
   }
   return Status::OK();
 }

@@ -6,20 +6,19 @@
 #include "common/rng.h"
 #include "core/spear_config.h"
 #include "core/spear_window_manager.h"
-#include "runtime/operator.h"
 #include "runtime/windowed_bolt.h"
 
 /// \file spear_bolt.h
 /// The runtime stage wrapping a SpearWindowManager — the paper's SpearBolt,
 /// which "disassociates execution into production and delivery of a
 /// result": production happens in the manager (approximate from the budget
-/// or exact from the window), delivery encodes each WindowResult as output
-/// tuples (same layout as the exact bolt, so sinks are interchangeable).
+/// or exact from the window), delivery is WindowedBolt's, shared with the
+/// baselines (same tuple layout, so sinks are interchangeable).
 
 namespace spear {
 
 /// \brief SPEAr's stateful windowed stage.
-class SpearBolt : public Bolt, public Checkpointable {
+class SpearBolt : public WindowedBolt, public Checkpointable {
  public:
   /// \param config          the operation's window/aggregate/accuracy/budget
   /// \param value_extractor aggregation value
@@ -34,8 +33,6 @@ class SpearBolt : public Bolt, public Checkpointable {
             DecisionStatsCollector* decision_sink = nullptr);
 
   Status Prepare(const BoltContext& ctx) override;
-  Status Execute(const Tuple& tuple, Emitter* out) override;
-  Status OnWatermark(Timestamp watermark, Emitter* out) override;
   Status Finish(Emitter* out) override;
   Status OnDeliveryAnomaly(Emitter* out) override;
 
@@ -56,7 +53,10 @@ class SpearBolt : public Bolt, public Checkpointable {
   void NoteRecoveryLoss(std::uint64_t lost_tuples) override;
 
  private:
-  Status ProcessWatermark(std::int64_t watermark, Emitter* out);
+  /// Sheds the tuple (charged to its window's loss) or validates and
+  /// ingests it.
+  Status Ingest(std::int64_t coord, const Tuple& tuple) override;
+  Status CloseWindows(std::int64_t watermark, Emitter* out) override;
 
   const SpearOperatorConfig config_;
   const ValueExtractor value_extractor_;
@@ -64,10 +64,8 @@ class SpearBolt : public Bolt, public Checkpointable {
   SecondaryStorage* storage_;
   DecisionStatsCollector* decision_sink_;
   std::unique_ptr<SpearWindowManager> manager_;
-  WorkerMetrics* metrics_ = nullptr;
   OverloadDetector* overload_ = nullptr;
   Rng shed_rng_;
-  std::int64_t sequence_ = 0;
 };
 
 }  // namespace spear

@@ -1,89 +1,52 @@
 #include "runtime/countmin_bolt.h"
 
-#include "common/time.h"
-
 namespace spear {
+
+namespace {
+
+ExactWindowedBoltConfig CountMinConfig(WindowSpec window,
+                                       ValueExtractor value_extractor,
+                                       KeyExtractor key_extractor) {
+  SPEAR_CHECK(static_cast<bool>(key_extractor));
+  ExactWindowedBoltConfig config;
+  config.window = window;
+  config.aggregate = AggregateSpec::Mean();
+  config.value_extractor = std::move(value_extractor);
+  config.key_extractor = std::move(key_extractor);
+  return config;
+}
+
+}  // namespace
 
 CountMinWindowedBolt::CountMinWindowedBolt(WindowSpec window,
                                            ValueExtractor value_extractor,
                                            KeyExtractor key_extractor,
                                            double epsilon, double confidence)
-    : window_(window),
-      value_extractor_(std::move(value_extractor)),
-      key_extractor_(std::move(key_extractor)),
+    : ExactWindowedBolt(CountMinConfig(window, std::move(value_extractor),
+                                       std::move(key_extractor))),
       epsilon_(epsilon),
-      delta_(1.0 - confidence) {
-  SPEAR_CHECK(window_.IsValid());
-  SPEAR_CHECK(static_cast<bool>(key_extractor_));
-}
+      delta_(1.0 - confidence) {}
 
-Status CountMinWindowedBolt::Prepare(const BoltContext& ctx) {
-  metrics_ = ctx.metrics;
-  manager_ = std::make_unique<SingleBufferWindowManager>(window_);
-  return Status::OK();
-}
-
-Status CountMinWindowedBolt::Execute(const Tuple& tuple, Emitter* out) {
-  std::int64_t coord;
-  if (window_.type == WindowType::kCountBased) {
-    coord = sequence_++;
-  } else {
-    coord = tuple.event_time();
+Result<WindowResult> CountMinWindowedBolt::Produce(
+    const CompleteWindow& window, std::size_t* memory_bytes) {
+  SPEAR_ASSIGN_OR_RETURN(CountMinGroupedAggregator agg,
+                         CountMinGroupedAggregator::Make(epsilon_, delta_));
+  // One pass through the window: every tuple pays 2*depth hashes.
+  for (const Tuple& t : window.tuples) {
+    agg.Update(config_.key_extractor(t), config_.value_extractor(t));
   }
-  manager_->OnTuple(coord, tuple);
-  if (window_.type == WindowType::kCountBased) {
-    return ProcessWatermark(sequence_, out);
+  WindowResult result;
+  result.bounds = window.bounds;
+  result.window_size = window.tuples.size();
+  result.tuples_processed = window.tuples.size();
+  result.is_grouped = true;
+  result.approximate = true;
+  result.estimated_error = epsilon_;
+  for (const std::string& key : agg.Keys()) {
+    result.groups.emplace_back(key, agg.EstimateMean(key));
   }
-  return Status::OK();
-}
-
-Status CountMinWindowedBolt::OnWatermark(Timestamp watermark, Emitter* out) {
-  if (window_.type == WindowType::kCountBased) return Status::OK();
-  return ProcessWatermark(watermark, out);
-}
-
-Status CountMinWindowedBolt::ProcessWatermark(std::int64_t watermark,
-                                              Emitter* out) {
-  std::int64_t staging_ns = 0;
-  Result<std::vector<CompleteWindow>> staged = [&] {
-    ScopedTimerNs timer(&staging_ns);
-    return manager_->OnWatermark(watermark);
-  }();
-  if (!staged.ok()) return staged.status();
-  if (staged->empty()) return Status::OK();
-
-  const std::int64_t staging_share =
-      staging_ns / static_cast<std::int64_t>(staged->size());
-  for (const CompleteWindow& window : *staged) {
-    std::int64_t process_ns = 0;
-    WindowResult result;
-    {
-      ScopedTimerNs timer(&process_ns);
-      SPEAR_ASSIGN_OR_RETURN(
-          CountMinGroupedAggregator agg,
-          CountMinGroupedAggregator::Make(epsilon_, delta_));
-      // One pass through the window: every tuple pays 2*depth hashes.
-      for (const Tuple& t : window.tuples) {
-        agg.Update(key_extractor_(t), value_extractor_(t));
-      }
-      result.bounds = window.bounds;
-      result.window_size = window.tuples.size();
-      result.tuples_processed = window.tuples.size();
-      result.is_grouped = true;
-      result.approximate = true;
-      result.estimated_error = epsilon_;
-      for (const std::string& key : agg.Keys()) {
-        result.groups.emplace_back(key, agg.EstimateMean(key));
-      }
-      if (metrics_ != nullptr) {
-        metrics_->RecordMemoryBytes(agg.MemoryBytes());
-      }
-    }
-    result.processing_ns = process_ns + staging_share;
-    if (metrics_ != nullptr) metrics_->RecordWindowNs(result.processing_ns);
-    for (Tuple& t : WindowResultToTuples(result)) out->Emit(std::move(t));
-  }
-  return Status::OK();
+  *memory_bytes = agg.MemoryBytes();
+  return result;
 }
 
 }  // namespace spear

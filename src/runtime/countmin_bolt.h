@@ -1,25 +1,21 @@
 #pragma once
 
-#include <memory>
-
-#include "runtime/operator.h"
 #include "runtime/windowed_bolt.h"
 #include "sketch/count_min.h"
-#include "window/single_buffer_manager.h"
 
 /// \file countmin_bolt.h
 /// The Table 2 baseline: a Storm-style windowed bolt that produces a
 /// grouped mean with a CountMin sketch instead of exact aggregation. The
-/// window is buffered as usual (single-buffer design); at watermark
-/// arrival every tuple is pushed through the sketch's hash rows and the
-/// result is reconstructed from the tracked distinct-group set — the
-/// per-tuple hashing cost is exactly the overhead the paper attributes to
-/// sketching.
+/// window is buffered and staged as in ExactWindowedBolt (single-buffer
+/// design); only the per-window pass differs: every tuple is pushed through
+/// the sketch's hash rows and the result is reconstructed from the tracked
+/// distinct-group set — the per-tuple hashing cost is exactly the overhead
+/// the paper attributes to sketching.
 
 namespace spear {
 
 /// \brief Grouped-mean windowed stage backed by CountMin.
-class CountMinWindowedBolt : public Bolt {
+class CountMinWindowedBolt : public ExactWindowedBolt {
  public:
   /// \param epsilon,confidence sketch accuracy: additive error epsilon of
   ///        the window's L1 mass with probability `confidence` (the paper
@@ -29,21 +25,12 @@ class CountMinWindowedBolt : public Bolt {
                        KeyExtractor key_extractor, double epsilon,
                        double confidence);
 
-  Status Prepare(const BoltContext& ctx) override;
-  Status Execute(const Tuple& tuple, Emitter* out) override;
-  Status OnWatermark(Timestamp watermark, Emitter* out) override;
-
  private:
-  Status ProcessWatermark(std::int64_t watermark, Emitter* out);
+  Result<WindowResult> Produce(const CompleteWindow& window,
+                               std::size_t* memory_bytes) override;
 
-  const WindowSpec window_;
-  const ValueExtractor value_extractor_;
-  const KeyExtractor key_extractor_;
   const double epsilon_;
   const double delta_;
-  std::unique_ptr<SingleBufferWindowManager> manager_;
-  WorkerMetrics* metrics_ = nullptr;
-  std::int64_t sequence_ = 0;
 };
 
 }  // namespace spear

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <map>
-#include <memory>
 
-#include "runtime/operator.h"
 #include "runtime/windowed_bolt.h"
 #include "sketch/gk_quantile.h"
 #include "window/window_assigner.h"
@@ -19,20 +17,16 @@
 namespace spear {
 
 /// \brief Windowed phi-quantile via per-window GK summaries.
-class GkQuantileBolt : public Bolt {
+class GkQuantileBolt : public WindowedBolt {
  public:
   /// \param epsilon deterministic rank-error bound of each result.
   GkQuantileBolt(WindowSpec window, ValueExtractor value_extractor,
                  double phi, double epsilon);
 
-  Status Prepare(const BoltContext& ctx) override;
-  Status Execute(const Tuple& tuple, Emitter* out) override;
-  Status OnWatermark(Timestamp watermark, Emitter* out) override;
-
  private:
-  Status ProcessWatermark(std::int64_t watermark, Emitter* out);
+  Status Ingest(std::int64_t coord, const Tuple& tuple) override;
+  Status CloseWindows(std::int64_t watermark, Emitter* out) override;
 
-  const WindowSpec window_;
   const ValueExtractor value_extractor_;
   const double phi_;
   const double epsilon_;
@@ -40,8 +34,6 @@ class GkQuantileBolt : public Bolt {
   /// window start -> summary.
   std::map<std::int64_t, GkQuantileSketch> sketches_;
   std::int64_t last_watermark_;
-  WorkerMetrics* metrics_ = nullptr;
-  std::int64_t sequence_ = 0;
 };
 
 }  // namespace spear

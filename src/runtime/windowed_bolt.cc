@@ -28,18 +28,66 @@ std::vector<Tuple> WindowResultToTuples(const WindowResult& result) {
 }
 
 // ---------------------------------------------------------------------------
+// WindowedBolt
+// ---------------------------------------------------------------------------
+
+WindowedBolt::WindowedBolt(WindowSpec window) : window_(window) {
+  SPEAR_CHECK(window_.IsValid());
+}
+
+Status WindowedBolt::Prepare(const BoltContext& ctx) {
+  metrics_ = ctx.metrics;
+  return Status::OK();
+}
+
+Status WindowedBolt::Execute(const Tuple& tuple, Emitter* out) {
+  if (window_.type != WindowType::kCountBased) {
+    return Ingest(tuple.event_time(), tuple);
+  }
+  SPEAR_RETURN_NOT_OK(Ingest(sequence_, tuple));
+  sequence_++;
+  // All coordinates below `sequence_` have been observed: that is the
+  // exclusive watermark for count windows. The tuple is already ingested,
+  // so this Execute is no longer idempotent: a transient failure to close
+  // a window must not look retryable to the supervising executor (a retry
+  // would ingest the tuple twice).
+  Status closed = CloseWindows(sequence_, out);
+  if (closed.IsUnavailable()) {
+    return Status::Internal("window emission failed after retries: " +
+                            closed.message());
+  }
+  return closed;
+}
+
+Status WindowedBolt::OnWatermark(Timestamp watermark, Emitter* out) {
+  // Count windows complete by cardinality; event-time watermarks only
+  // matter at end of stream, where the final watermark flushes the
+  // (possibly incomplete) tail — which count semantics discard.
+  if (window_.type == WindowType::kCountBased) return Status::OK();
+  return CloseWindows(watermark, out);
+}
+
+void WindowedBolt::Deliver(const WindowResult& result,
+                           std::size_t memory_bytes, Emitter* out) {
+  if (metrics_ != nullptr) {
+    metrics_->RecordWindowNs(result.processing_ns);
+    metrics_->RecordMemoryBytes(memory_bytes);
+  }
+  for (Tuple& t : WindowResultToTuples(result)) out->Emit(std::move(t));
+}
+
+// ---------------------------------------------------------------------------
 // ExactWindowedBolt
 // ---------------------------------------------------------------------------
 
 ExactWindowedBolt::ExactWindowedBolt(ExactWindowedBoltConfig config)
-    : config_(std::move(config)),
+    : WindowedBolt(config.window),
+      config_(std::move(config)),
       operator_(config_.aggregate, config_.value_extractor,
-                config_.key_extractor) {
-  SPEAR_CHECK(config_.window.IsValid());
-}
+                config_.key_extractor) {}
 
 Status ExactWindowedBolt::Prepare(const BoltContext& ctx) {
-  metrics_ = ctx.metrics;
+  SPEAR_RETURN_NOT_OK(WindowedBolt::Prepare(ctx));
   if (config_.use_multi_buffer) {
     if (config_.memory_capacity != 0) {
       return Status::Invalid(
@@ -54,34 +102,17 @@ Status ExactWindowedBolt::Prepare(const BoltContext& ctx) {
   return Status::OK();
 }
 
-Status ExactWindowedBolt::Execute(const Tuple& tuple, Emitter* out) {
-  std::int64_t coord;
-  if (config_.window.type == WindowType::kCountBased) {
-    coord = sequence_++;
-  } else {
-    coord = tuple.event_time();
-  }
+Status ExactWindowedBolt::Ingest(std::int64_t coord, const Tuple& tuple) {
   manager_->OnTuple(coord, tuple);
-  if (config_.window.type == WindowType::kCountBased) {
-    // All coordinates below `sequence_` have been observed: that is the
-    // exclusive watermark for count windows.
-    return ProcessWatermark(sequence_, out);
-  }
   return Status::OK();
 }
 
-Status ExactWindowedBolt::OnWatermark(Timestamp watermark, Emitter* out) {
-  if (config_.window.type == WindowType::kCountBased) {
-    // Count windows complete by cardinality; event-time watermarks only
-    // matter at end of stream, where the final watermark flushes the
-    // (possibly incomplete) tail — which count semantics discard.
-    return Status::OK();
-  }
-  return ProcessWatermark(watermark, out);
+Result<WindowResult> ExactWindowedBolt::Produce(
+    const CompleteWindow& window, std::size_t* /*memory_bytes: staged*/) {
+  return operator_.Process(window);
 }
 
-Status ExactWindowedBolt::ProcessWatermark(std::int64_t watermark,
-                                           Emitter* out) {
+Status ExactWindowedBolt::CloseWindows(std::int64_t watermark, Emitter* out) {
   std::int64_t staging_ns = 0;
   Result<std::vector<CompleteWindow>> staged = [&] {
     ScopedTimerNs timer(&staging_ns);
@@ -93,24 +124,16 @@ Status ExactWindowedBolt::ProcessWatermark(std::int64_t watermark,
   const std::int64_t staging_share =
       staging_ns / static_cast<std::int64_t>(staged->size());
   for (const CompleteWindow& window : *staged) {
+    std::size_t memory_bytes = 0;
+    for (const Tuple& t : window.tuples) memory_bytes += t.ByteSize();
     std::int64_t process_ns = 0;
     Result<WindowResult> result = [&] {
       ScopedTimerNs timer(&process_ns);
-      return operator_.Process(window);
+      return Produce(window, &memory_bytes);
     }();
     if (!result.ok()) return result.status();
     result->processing_ns = process_ns + staging_share;
-
-    if (metrics_ != nullptr) {
-      metrics_->RecordWindowNs(result->processing_ns);
-      if (config_.record_memory) {
-        // Memory used to produce this result: the staged window itself.
-        std::size_t bytes = 0;
-        for (const Tuple& t : window.tuples) bytes += t.ByteSize();
-        metrics_->RecordMemoryBytes(bytes);
-      }
-    }
-    for (Tuple& t : WindowResultToTuples(*result)) out->Emit(std::move(t));
+    Deliver(*result, memory_bytes, out);
   }
   return Status::OK();
 }
@@ -123,37 +146,18 @@ IncrementalWindowedBolt::IncrementalWindowedBolt(WindowSpec window,
                                                  AggregateSpec aggregate,
                                                  ValueExtractor value_extractor,
                                                  KeyExtractor key_extractor)
-    : window_(window),
+    : WindowedBolt(window),
       operator_(aggregate, window, std::move(value_extractor),
                 std::move(key_extractor)) {}
 
-Status IncrementalWindowedBolt::Prepare(const BoltContext& ctx) {
-  metrics_ = ctx.metrics;
-  return Status::OK();
-}
-
-Status IncrementalWindowedBolt::Execute(const Tuple& tuple, Emitter* out) {
-  std::int64_t coord;
-  if (window_.type == WindowType::kCountBased) {
-    coord = sequence_++;
-  } else {
-    coord = tuple.event_time();
-  }
+Status IncrementalWindowedBolt::Ingest(std::int64_t coord,
+                                       const Tuple& tuple) {
   operator_.OnTuple(coord, tuple);
-  if (window_.type == WindowType::kCountBased) {
-    return ProcessWatermark(sequence_, out);
-  }
   return Status::OK();
 }
 
-Status IncrementalWindowedBolt::OnWatermark(Timestamp watermark,
-                                            Emitter* out) {
-  if (window_.type == WindowType::kCountBased) return Status::OK();
-  return ProcessWatermark(watermark, out);
-}
-
-Status IncrementalWindowedBolt::ProcessWatermark(std::int64_t watermark,
-                                                 Emitter* out) {
+Status IncrementalWindowedBolt::CloseWindows(std::int64_t watermark,
+                                             Emitter* out) {
   std::int64_t total_ns = 0;
   Result<std::vector<WindowResult>> results = [&] {
     ScopedTimerNs timer(&total_ns);
@@ -166,14 +170,11 @@ Status IncrementalWindowedBolt::ProcessWatermark(std::int64_t watermark,
       total_ns / static_cast<std::int64_t>(results->size());
   for (WindowResult& result : *results) {
     result.processing_ns = share;
-    if (metrics_ != nullptr) {
-      metrics_->RecordWindowNs(result.processing_ns);
-      // Incremental state: one accumulator per active window.
-      metrics_->RecordMemoryBytes(sizeof(RunningStats) *
-                                  std::max<std::size_t>(
-                                      operator_.active_windows(), 1));
-    }
-    for (Tuple& t : WindowResultToTuples(result)) out->Emit(std::move(t));
+    // Incremental state: one accumulator per active window.
+    Deliver(result,
+            sizeof(RunningStats) *
+                std::max<std::size_t>(operator_.active_windows(), 1),
+            out);
   }
   return Status::OK();
 }

@@ -9,20 +9,28 @@
 #include "window/single_buffer_manager.h"
 
 /// \file windowed_bolt.h
-/// Stateful windowed stages for the runtime:
+/// The Storm windowed bolt every engine runs as (SPEAr and its baselines),
+/// and the two exact-aggregation baselines:
+///  * WindowedBolt — the shared workflow. It assigns each tuple its window
+///    coordinate (event time, or a per-worker sequence number for count
+///    windows), closes count windows after every admitted tuple, forwards
+///    time watermarks, and delivers every result through one Deliver that
+///    records the window-time and memory samples before emitting. A
+///    subclass implements only Ingest(coord, tuple) and CloseWindows(
+///    watermark, out), the tuple-arrival and watermark-arrival steps that
+///    produce its results.
 ///  * ExactWindowedBolt — the "Storm" baseline: buffer everything
 ///    (single- or multi-buffer design), process whole windows at
 ///    watermark arrival.
 ///  * IncrementalWindowedBolt — the "Inc-Storm" baseline: constant-state
 ///    accumulators updated at tuple arrival (non-holistic aggregates only).
 ///
-/// Both emit one result tuple per window (scalar) or per (window, group):
+/// Every engine emits one result tuple per window (scalar) or per
+/// (window, group):
 ///   scalar : [start, end, value, approx(0/1), est_err, degraded(0/1),
 ///             recovered(0/1)] @ event_time=end
 ///   grouped: [start, end, key, value, approx(0/1), est_err, degraded(0/1),
 ///             recovered(0/1)]
-/// and record per-window processing time and memory through the worker's
-/// metrics (the paper's measurement methodology).
 
 namespace spear {
 
@@ -50,6 +58,38 @@ struct ResultTupleLayout {
   static constexpr std::size_t kGroupRecovered = 7;
 };
 
+/// \brief The windowed-bolt workflow shared by every engine (see file
+/// comment). Subclasses that override Prepare call WindowedBolt::Prepare.
+class WindowedBolt : public Bolt {
+ public:
+  Status Prepare(const BoltContext& ctx) override;
+  Status Execute(const Tuple& tuple, Emitter* out) final;
+  Status OnWatermark(Timestamp watermark, Emitter* out) final;
+
+ protected:
+  explicit WindowedBolt(WindowSpec window);
+
+  /// Tuple arrival at window coordinate `coord`. OK admits the tuple (a
+  /// count window's coordinate is consumed); an error admits nothing and
+  /// must leave the window state untouched, so the executor may retry it.
+  virtual Status Ingest(std::int64_t coord, const Tuple& tuple) = 0;
+
+  /// Produces and Delivers every window the exclusive `watermark` closes.
+  virtual Status CloseWindows(std::int64_t watermark, Emitter* out) = 0;
+
+  /// Records `result.processing_ns` and `memory_bytes` (the state used to
+  /// produce the result, Fig. 7) in the worker's metrics, then emits the
+  /// result's tuples.
+  void Deliver(const WindowResult& result, std::size_t memory_bytes,
+               Emitter* out);
+
+  const WindowSpec window_;
+
+ private:
+  WorkerMetrics* metrics_ = nullptr;
+  std::int64_t sequence_ = 0;  ///< next count-window coordinate
+};
+
 /// \brief Configuration shared by the exact windowed bolt variants.
 struct ExactWindowedBoltConfig {
   WindowSpec window;
@@ -63,51 +103,47 @@ struct ExactWindowedBoltConfig {
   /// Tuples held in memory before spilling to S (0 = unlimited).
   std::size_t memory_capacity = 0;
   SecondaryStorage* storage = nullptr;
-
-  /// Sample the staged window's memory footprint per window (Fig. 7).
-  bool record_memory = true;
 };
 
 /// \brief Exact ("Storm") windowed stateful stage.
-class ExactWindowedBolt : public Bolt {
+class ExactWindowedBolt : public WindowedBolt {
  public:
   explicit ExactWindowedBolt(ExactWindowedBoltConfig config);
 
   Status Prepare(const BoltContext& ctx) override;
-  Status Execute(const Tuple& tuple, Emitter* out) override;
-  Status OnWatermark(Timestamp watermark, Emitter* out) override;
 
   const WindowManager& window_manager() const { return *manager_; }
 
- private:
-  Status ProcessWatermark(std::int64_t watermark, Emitter* out);
+ protected:
+  /// Produces one staged window's result. `*memory_bytes` arrives holding
+  /// the staged window's size; a producer whose result takes other state
+  /// overwrites it.
+  virtual Result<WindowResult> Produce(const CompleteWindow& window,
+                                       std::size_t* memory_bytes);
 
   const ExactWindowedBoltConfig config_;
+
+ private:
+  Status Ingest(std::int64_t coord, const Tuple& tuple) override;
+  Status CloseWindows(std::int64_t watermark, Emitter* out) override;
+
   ExactWindowOperator operator_;
   std::unique_ptr<WindowManager> manager_;
-  WorkerMetrics* metrics_ = nullptr;
-  std::int64_t sequence_ = 0;  ///< count-based coordinate assignment
 };
 
 /// \brief Incremental ("Inc-Storm") windowed stateful stage. Non-holistic
 /// aggregates only (checked at construction).
-class IncrementalWindowedBolt : public Bolt {
+class IncrementalWindowedBolt : public WindowedBolt {
  public:
   IncrementalWindowedBolt(WindowSpec window, AggregateSpec aggregate,
                           ValueExtractor value_extractor,
                           KeyExtractor key_extractor = nullptr);
 
-  Status Prepare(const BoltContext& ctx) override;
-  Status Execute(const Tuple& tuple, Emitter* out) override;
-  Status OnWatermark(Timestamp watermark, Emitter* out) override;
-
  private:
-  Status ProcessWatermark(std::int64_t watermark, Emitter* out);
+  Status Ingest(std::int64_t coord, const Tuple& tuple) override;
+  Status CloseWindows(std::int64_t watermark, Emitter* out) override;
 
-  const WindowSpec window_;
   IncrementalOperator operator_;
-  WorkerMetrics* metrics_ = nullptr;
-  std::int64_t sequence_ = 0;
 };
 
 }  // namespace spear
