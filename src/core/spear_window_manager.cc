@@ -18,7 +18,8 @@ namespace {
 /// shed counts, shed/deadline decision counters (overload control).
 /// v3: no raw-tuple custody state (spill manifest, run sequence, spill
 /// failure count); the payload is budget state and bookkeeping only.
-constexpr std::uint8_t kManagerPayloadVersion = 3;
+/// v4: no per-window recovered flag (every restored window is recovered).
+constexpr std::uint8_t kManagerPayloadVersion = 4;
 
 void AppendRunningStats(std::string* out, const RunningStats& stats) {
   const RunningStats::State s = stats.state();
@@ -52,6 +53,26 @@ void AppendReservoir(std::string* out,
   wire::AppendU64(out, sampler.skipped());
   wire::AppendU64(out, sampler.sample().size());
   for (const double v : sampler.sample()) wire::AppendF64(out, v);
+}
+
+Result<ReservoirSampler<double>> ReadReservoir(wire::Reader* reader,
+                                               std::uint64_t seed) {
+  SPEAR_ASSIGN_OR_RETURN(const std::uint64_t capacity, reader->ReadU64());
+  SPEAR_ASSIGN_OR_RETURN(const std::uint64_t seen, reader->ReadU64());
+  SPEAR_ASSIGN_OR_RETURN(const std::uint64_t skipped, reader->ReadU64());
+  SPEAR_ASSIGN_OR_RETURN(const std::uint64_t n, reader->ReadU64());
+  std::vector<double> values;
+  values.reserve(n);
+  for (std::uint64_t k = 0; k < n; ++k) {
+    SPEAR_ASSIGN_OR_RETURN(const double v, reader->ReadF64());
+    values.push_back(v);
+  }
+  if (capacity == 0) {
+    return Status::Invalid("spear snapshot: reservoir capacity 0");
+  }
+  ReservoirSampler<double> sampler(capacity, seed);
+  SPEAR_RETURN_NOT_OK(sampler.Restore(std::move(values), seen, skipped));
+  return sampler;
 }
 
 }  // namespace
@@ -382,25 +403,31 @@ Status SpearWindowManager::PopulateGroupedResultFromScan(
     }
     const std::vector<double>& sample = it->second.sampler->sample();
     processed += sample.size();
-    double v = 0.0;
-    if (config_.aggregate.IsHolistic()) {
-      SPEAR_ASSIGN_OR_RETURN(
-          v, ExactQuantile(sample, config_.aggregate.phi));
-    } else if (config_.aggregate.kind == AggregateKind::kCount) {
-      v = static_cast<double>(a.frequency);  // exact from the tracker
-    } else if (config_.aggregate.kind == AggregateKind::kSum) {
-      RunningStats s;
-      for (double x : sample) s.Update(x);
-      v = s.mean() * static_cast<double>(a.frequency);
-    } else {
-      RunningStats s;
-      for (double x : sample) s.Update(x);
-      SPEAR_ASSIGN_OR_RETURN(v, EvaluateFromStats(config_.aggregate, s));
-    }
+    SPEAR_ASSIGN_OR_RETURN(const double v,
+                           EvaluateGroup(sample, nullptr, a.frequency));
     result->groups.emplace_back(a.key, v);
   }
   result->tuples_processed = processed;
   return Status::OK();
+}
+
+Result<double> SpearWindowManager::EvaluateGroup(
+    const std::vector<double>& sample, const RunningStats* moments,
+    std::uint64_t frequency) const {
+  const AggregateSpec& aggregate = config_.aggregate;
+  if (aggregate.IsHolistic()) return ExactQuantile(sample, aggregate.phi);
+  if (aggregate.kind == AggregateKind::kCount) {
+    return static_cast<double>(frequency);  // exact from the tracker
+  }
+  RunningStats sample_moments;
+  if (moments == nullptr) {
+    for (double x : sample) sample_moments.Update(x);
+    moments = &sample_moments;
+  }
+  if (aggregate.kind == AggregateKind::kSum) {
+    return moments->mean() * static_cast<double>(frequency);
+  }
+  return EvaluateFromStats(aggregate, *moments);
 }
 
 Status SpearWindowManager::PopulateGroupedResultFromReservoirs(
@@ -415,21 +442,8 @@ Status SpearWindowManager::PopulateGroupedResultFromReservoirs(
     }
     const std::vector<double>& sample = it->second.sample();
     processed += sample.size();
-    double v = 0.0;
-    if (config_.aggregate.IsHolistic()) {
-      SPEAR_ASSIGN_OR_RETURN(
-          v, ExactQuantile(sample, config_.aggregate.phi));
-    } else if (config_.aggregate.kind == AggregateKind::kCount) {
-      v = static_cast<double>(stats.count());
-    } else if (config_.aggregate.kind == AggregateKind::kSum) {
-      RunningStats s;
-      for (double x : sample) s.Update(x);
-      v = s.mean() * static_cast<double>(stats.count());
-    } else {
-      RunningStats s;
-      for (double x : sample) s.Update(x);
-      SPEAR_ASSIGN_OR_RETURN(v, EvaluateFromStats(config_.aggregate, s));
-    }
+    SPEAR_ASSIGN_OR_RETURN(const double v,
+                           EvaluateGroup(sample, nullptr, stats.count()));
     result->groups.emplace_back(key, v);
   }
   std::sort(result->groups.begin(), result->groups.end());
@@ -533,15 +547,8 @@ Result<WindowResult> SpearWindowManager::MakeDegradedResult(
       result.groups.reserve(state->groups->num_groups());
       std::uint64_t processed = 0;
       for (const auto& [key, stats] : state->groups->groups()) {
-        double v = 0.0;
-        if (config_.aggregate.kind == AggregateKind::kCount) {
-          v = static_cast<double>(stats.count());
-        } else if (config_.aggregate.kind == AggregateKind::kSum) {
-          v = stats.mean() * static_cast<double>(stats.count());
-        } else {
-          SPEAR_ASSIGN_OR_RETURN(v, EvaluateFromStats(config_.aggregate,
-                                                      stats));
-        }
+        SPEAR_ASSIGN_OR_RETURN(const double v,
+                               EvaluateGroup({}, &stats, stats.count()));
         result.groups.emplace_back(key, v);
         processed += stats.count();
       }
@@ -943,7 +950,6 @@ Result<std::string> SpearWindowManager::SnapshotState() const {
     wire::AppendU64(&out, state.loss.lost);
     wire::AppendU64(&out, state.loss.shed);
     wire::AppendU8(&out, state.loss.anomalous ? 1 : 0);
-    wire::AppendU8(&out, state.loss.recovered ? 1 : 0);
     wire::AppendU8(&out, state.loss.truncated ? 1 : 0);
     AppendRunningStats(&out, state.stats);
     wire::AppendU8(&out, state.sample ? 1 : 0);
@@ -1018,9 +1024,8 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
     SPEAR_ASSIGN_OR_RETURN(state.loss.shed, reader.ReadU64());
     SPEAR_ASSIGN_OR_RETURN(const std::uint8_t anomalous, reader.ReadU8());
     state.loss.anomalous = anomalous != 0;
-    // Every restored window is a recovered window, whatever it was when
-    // snapshotted: its raw buffer did not survive.
-    SPEAR_RETURN_NOT_OK(reader.ReadU8().status());
+    // Every restored window is a recovered window: its raw buffer did not
+    // survive.
     state.loss.recovered = true;
     SPEAR_ASSIGN_OR_RETURN(const std::uint8_t truncated, reader.ReadU8());
     state.loss.truncated = truncated != 0;
@@ -1028,23 +1033,11 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
 
     SPEAR_ASSIGN_OR_RETURN(const std::uint8_t has_sample, reader.ReadU8());
     if (has_sample != 0) {
-      SPEAR_ASSIGN_OR_RETURN(const std::uint64_t capacity, reader.ReadU64());
-      SPEAR_ASSIGN_OR_RETURN(const std::uint64_t seen, reader.ReadU64());
-      SPEAR_ASSIGN_OR_RETURN(const std::uint64_t skipped, reader.ReadU64());
-      SPEAR_ASSIGN_OR_RETURN(const std::uint64_t n, reader.ReadU64());
-      std::vector<double> values;
-      values.reserve(n);
-      for (std::uint64_t k = 0; k < n; ++k) {
-        SPEAR_ASSIGN_OR_RETURN(const double v, reader.ReadF64());
-        values.push_back(v);
-      }
-      if (capacity == 0) {
-        return Status::Invalid("spear snapshot: reservoir capacity 0");
-      }
-      state.sample = std::make_unique<ReservoirSampler<double>>(
-          capacity, config_.seed + sampler_seq_++);
-      SPEAR_RETURN_NOT_OK(
-          state.sample->Restore(std::move(values), seen, skipped));
+      SPEAR_ASSIGN_OR_RETURN(
+          ReservoirSampler<double> sample,
+          ReadReservoir(&reader, config_.seed + sampler_seq_++));
+      state.sample =
+          std::make_unique<ReservoirSampler<double>>(std::move(sample));
     }
 
     SPEAR_ASSIGN_OR_RETURN(const std::uint8_t has_groups, reader.ReadU8());
@@ -1068,27 +1061,12 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
     SPEAR_ASSIGN_OR_RETURN(const std::uint64_t num_samplers, reader.ReadU64());
     for (std::uint64_t k = 0; k < num_samplers; ++k) {
       SPEAR_ASSIGN_OR_RETURN(const std::string key, reader.ReadString());
-      SPEAR_ASSIGN_OR_RETURN(const std::uint64_t capacity, reader.ReadU64());
-      SPEAR_ASSIGN_OR_RETURN(const std::uint64_t seen, reader.ReadU64());
-      SPEAR_ASSIGN_OR_RETURN(const std::uint64_t skipped, reader.ReadU64());
-      SPEAR_ASSIGN_OR_RETURN(const std::uint64_t n, reader.ReadU64());
-      std::vector<double> values;
-      values.reserve(n);
-      for (std::uint64_t j = 0; j < n; ++j) {
-        SPEAR_ASSIGN_OR_RETURN(const double v, reader.ReadF64());
-        values.push_back(v);
-      }
-      if (capacity == 0) {
-        return Status::Invalid("spear snapshot: reservoir capacity 0");
-      }
-      auto [it, inserted] = state.group_samples.emplace(
-          key, ReservoirSampler<double>(capacity,
-                                        config_.seed + sampler_seq_++));
-      if (!inserted) {
+      SPEAR_ASSIGN_OR_RETURN(
+          ReservoirSampler<double> sampler,
+          ReadReservoir(&reader, config_.seed + sampler_seq_++));
+      if (!state.group_samples.emplace(key, std::move(sampler)).second) {
         return Status::Invalid("spear snapshot: duplicate group sampler");
       }
-      SPEAR_RETURN_NOT_OK(
-          it->second.Restore(std::move(values), seen, skipped));
     }
 
     window_states_.emplace(start, std::move(state));

@@ -268,6 +268,13 @@ class SpearWindowManager {
       const WindowBounds& bounds, const std::vector<GroupAllocation>& allocs,
       WindowResult* result);
 
+  /// Evaluates one group: a quantile from its uniform `sample`, Count as
+  /// its exact `frequency`, Sum as the mean scaled by it, the rest from
+  /// its moments (`moments`, or the sample's own when null).
+  Result<double> EvaluateGroup(const std::vector<double>& sample,
+                               const RunningStats* moments,
+                               std::uint64_t frequency) const;
+
   /// Evaluates groups from per-group reservoirs (kGroupedKnown accept).
   Status PopulateGroupedResultFromReservoirs(const WindowState& state,
                                              WindowResult* result);

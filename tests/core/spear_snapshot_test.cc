@@ -203,35 +203,35 @@ std::string ToHex(const std::string& bytes) {
 }
 
 constexpr char kLossFieldsPayloadHex[] =
-    "0300000000000000008000000000000000000102000000000000000000000000"
+    "0400000000000000008000000000000000000102000000000000000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
     "00000000000000000000002c0000000000000000000000000000000000000000"
     "0000000300000000000000000000000000000000000000000000000200000000"
     "0000000000000000000000200000000000000028000000000000000200000000"
-    "000000030000000000000001010028000000000000003433333333f325409999"
-    "999999f93a40cb7a14ae4761f03f298716d94e003b400000000000707b400000"
-    "0000000024400000000000002840012000000000000000280000000000000003"
-    "0000000000000020000000000000000000000000002440000000000000284000"
-    "0000000000284000000000000024400000000000002640000000000000284000"
-    "0000000000244000000000000026400000000000002840000000000000244000"
-    "0000000000264000000000000024400000000000002440000000000000264000"
-    "0000000000284000000000000026400000000000002640000000000000284000"
-    "0000000000244000000000000026400000000000002840000000000000244000"
-    "0000000000284000000000000028400000000000002440000000000000264000"
-    "0000000000284000000000000024400000000000002640000000000000284000"
-    "0000000000244000000000000026400000000000000000006400000000000000"
-    "2000000000000000040000000000000002000000000000000000000000000000"
-    "0101010400000000000000000000000000f83f00000000000014400000000000"
-    "0000000000000000802440000000000000184000000000000000000000000000"
-    "0008400120000000000000000400000000000000000000000000000004000000"
-    "000000000000000000000000000000000000f03f000000000000004000000000"
-    "00000840000000000000000000";
+    "0000000300000000000000010028000000000000003433333333f32540999999"
+    "9999f93a40cb7a14ae4761f03f298716d94e003b400000000000707b40000000"
+    "0000002440000000000000284001200000000000000028000000000000000300"
+    "0000000000002000000000000000000000000000244000000000000028400000"
+    "0000000028400000000000002440000000000000264000000000000028400000"
+    "0000000024400000000000002640000000000000284000000000000024400000"
+    "0000000026400000000000002440000000000000244000000000000026400000"
+    "0000000028400000000000002640000000000000264000000000000028400000"
+    "0000000024400000000000002640000000000000284000000000000024400000"
+    "0000000028400000000000002840000000000000244000000000000026400000"
+    "0000000028400000000000002440000000000000264000000000000028400000"
+    "0000000024400000000000002640000000000000000000640000000000000020"
+    "0000000000000004000000000000000200000000000000000000000000000001"
+    "010400000000000000000000000000f83f000000000000144000000000000000"
+    "0000000000008024400000000000001840000000000000000000000000000008"
+    "4001200000000000000004000000000000000000000000000000040000000000"
+    "00000000000000000000000000000000f03f0000000000000040000000000000"
+    "0840000000000000000000";
 
 // Every per-window loss field survives SnapshotState/RestoreState: window
 // [0,100) carries recovery loss and admission shedding, window [100,200)
 // was truncated by an abnormal stream close (and, being open at the time,
-// also carries the recovery loss). The payload bytes pin the v3 layout —
-// per window: lost, shed, anomalous, recovered, truncated.
+// also carries the recovery loss). The payload bytes pin the v4 layout —
+// per window: lost, shed, anomalous, truncated.
 TEST(SpearSnapshotTest, RoundTripKeepsEveryLossField) {
   const SpearOperatorConfig config = MeanConfig();
   SpearWindowManager primary(config, NumericField(0));
