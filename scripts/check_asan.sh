@@ -2,7 +2,9 @@
 # Builds the fault-injection / supervision suites under AddressSanitizer
 # and runs them. Chaos runs exercise exception unwinding, mid-stream
 # cancellation and tuple quarantine — exactly the paths where lifetime
-# bugs (use-after-free of queued tuples, double-free on unwind) hide.
+# bugs (use-after-free of queued tuples, double-free on unwind) hide. The
+# windowed bolts (the shared WindowedBolt workflow and every engine on it)
+# run too.
 # Usage: scripts/check_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
 
@@ -28,11 +30,12 @@ run_suite() {  # run_suite <suite> [gtest flags...]
 }
 run_suite spear_common_tests --gtest_filter='Fault*:Retry*:Backoff*'
 run_suite spear_substrate_tests --gtest_filter='SecondaryStorage*'
-run_suite spear_runtime_tests --gtest_filter='Supervision*:Chaos*:Executor*'
+run_suite spear_runtime_tests \
+  --gtest_filter='Supervision*:Chaos*:Executor*:*WindowedBolt*:GkQuantileBolt*:CountMinBolt*'
 run_suite spear_recovery_tests
 run_suite spear_overload_tests
 if [ ${#failed[@]} -gt 0 ]; then
   echo "ASan: failed suites: ${failed[*]}" >&2
   exit 1
 fi
-echo "ASan: fault-injection + supervision + recovery + overload suites clean"
+echo "ASan: fault-injection + supervision + windowed-bolt + recovery + overload suites clean"

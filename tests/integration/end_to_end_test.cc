@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -445,6 +446,45 @@ TEST(EndToEndTest, SlidingCountWindowsAcrossEngines) {
   const auto spear = build(ExecutionEngine::kSpear);
   ASSERT_FALSE(exact.empty());
   EXPECT_EQ(exact.size(), spear.size());
+}
+
+// The Mean sibling: every engine that can run a Mean (Inc-Storm cannot run
+// a Median) assigns the same count windows, and the exact ones agree.
+TEST(EndToEndTest, SlidingCountWindowMeansAcrossEngines) {
+  auto build = [&](ExecutionEngine engine) {
+    SpearTopologyBuilder b;
+    b.Source(DecSpout(Minutes(1)))
+        .SlidingCountWindowOf(5000, 2500)
+        .Mean(NumericField(DecGenerator::kSizeField))
+        .SetBudget(Budget::Tuples(150))
+        .Error(0.10, 0.95)
+        .Engine(engine);
+    std::vector<std::pair<std::pair<std::int64_t, std::int64_t>, double>>
+        windows;
+    for (const Tuple& t : MustRun(b).output) {
+      windows.push_back({{t.field(ResultTupleLayout::kStart).AsInt64(),
+                          t.field(ResultTupleLayout::kEnd).AsInt64()},
+                         t.field(ResultTupleLayout::kScalarValue).AsDouble()});
+    }
+    std::sort(windows.begin(), windows.end());
+    return windows;
+  };
+  const auto exact = build(ExecutionEngine::kExact);
+  ASSERT_FALSE(exact.empty());
+  for (const ExecutionEngine engine :
+       {ExecutionEngine::kExactMulti, ExecutionEngine::kIncremental,
+        ExecutionEngine::kSpear}) {
+    const auto other = build(engine);
+    ASSERT_EQ(other.size(), exact.size()) << ExecutionEngineName(engine);
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+      EXPECT_EQ(other[i].first, exact[i].first)
+          << ExecutionEngineName(engine) << " window " << i;
+      if (engine != ExecutionEngine::kSpear) {
+        EXPECT_DOUBLE_EQ(other[i].second, exact[i].second)
+            << ExecutionEngineName(engine) << " window " << i;
+      }
+    }
+  }
 }
 
 TEST(EndToEndTest, GkEngineValidation) {
